@@ -29,7 +29,6 @@ from .disorder import (
     Gaussian,
     PotentialSample,
     Uniform,
-    hamiltonian,
     sample_potential,
 )
 from .greens import (
@@ -43,20 +42,22 @@ from .greens import (
 )
 from .hierarchy import ClusterId, HierarchySpec, Truncation, build_truncation
 from .operators import (
-    Averaging,
-    CutoffLaplacian,
     DenseCapError,
     DenseSpectrum,
-    Hamiltonian,
-    RestrictedFullLaplacian,
+    HierarchicalOperator,
+    averaging,
     dense_symmetric_eigensolve,
+    hamiltonian,
+    laplacian,
 )
 from .spectral import (
+    EigenvalueGroupingError,
     SpectralMeasure,
     WalkReport,
     exact_cutoff_spectrum,
     finite_volume_dos,
     fit_spectral_dimension,
+    group_eigenvalues,
     limiting_spectral_measure,
     restricted_full_spectrum,
     spectral_dimension,

@@ -293,17 +293,6 @@ def resolve_ranks(cfg: dict, depth: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_dense_eigenvalues(values: np.ndarray, tol: float):
-    """Group near-equal eigenvalues: (mean location, count) per group."""
-    groups = []
-    lo = 0
-    for hi in range(1, values.size + 1):
-        if hi == values.size or values[hi] - values[hi - 1] > tol:
-            groups.append((float(values[lo:hi].mean()), hi - lo))
-            lo = hi
-    return groups
-
-
 def run_spectrum(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
     r = cfg.get("rank", t.depth)
@@ -319,7 +308,7 @@ def run_spectrum(ctx, writer: OutputWriter) -> dict:
     rows = [(loc, mult, "exact") for loc, mult in exact]
     rows += [
         (loc, mult, "dense")
-        for loc, mult in _cluster_dense_eigenvalues(dense_values, 1e-9)
+        for loc, mult in spectral.group_eigenvalues(dense_values, exact)
     ]
     writer.table("spectrum", ["location", "multiplicity", "source"], rows)
     return {"rank": r, "include_tail": include_tail, "atoms": len(exact)}
@@ -447,23 +436,17 @@ def _save_potentials(ctx, writer: OutputWriter, realizations: int):
     writer.table("potentials", ["index", "site", "value"], rows)
 
 
-def _moments_rows(t, seq, dist, seed, indices, energies, ranks, site, map_fn):
-    results = list(
-        map_fn(
-            lambda i: diagnostics.sweep_realization(
-                t, seq, dist, seed, i, energies, ranks, site
-            ),
-            indices,
-        )
-    )
+def _moments_rows(seed, indices, energies, ranks, moments, ok):
+    """moments.csv rows; moments[i] is (ranks x energies), ok[i] flags energies."""
     rows = []
-    for i, (ladder, ok) in zip(indices, results):
+    for i in indices:
+        moments_i, ok_i = moments[i], ok[i]
         for k, e in enumerate(energies):
-            skipped = not ok[k]
+            skipped = not ok_i[k]
             for j, r in enumerate(ranks):
-                value = math.nan if skipped else ladder[j, k]
+                value = math.nan if skipped else moments_i[j, k]
                 rows.append((seed, i, e, r, value, skipped))
-    return rows, results
+    return rows
 
 
 def run_moments(ctx, writer: OutputWriter) -> dict:
@@ -474,15 +457,21 @@ def run_moments(ctx, writer: OutputWriter) -> dict:
     site = cfg.get("site", 0)
     realizations = cfg.get("realizations", 1)
     energies = np.linspace(grid[0], grid[1], grid[2])
-    rows, results = _moments_rows(
-        t, seq, dist, cfg["seed"], range(realizations), energies, ranks, site,
-        ctx["map_fn"],
+    indices = range(realizations)
+    ladders, ok = zip(
+        *ctx["map_fn"](
+            lambda i: diagnostics.sweep_realization(
+                t, seq, dist, cfg["seed"], i, energies, ranks, site
+            ),
+            indices,
+        )
     )
-    if not any(ok.any() for _, ok in results):
+    if not any(good.any() for good in ok):
         raise RuntimeError("every grid point is pole-proximate; nothing to report")
+    rows = _moments_rows(cfg["seed"], indices, energies, ranks, ladders, ok)
     writer.table("moments", ["seed", "index", "e", "r", "S_r", "skipped"], rows)
     _save_potentials(ctx, writer, realizations)
-    skipped = int(sum((~ok).sum() for _, ok in results))
+    skipped = int(sum((~good).sum() for good in ok))
     return {"grid": list(grid), "ranks": ranks, "skipped_cells": skipped}
 
 
@@ -509,13 +498,14 @@ def run_localize(ctx, writer: OutputWriter) -> dict:
     )
     if not report.ok.any():
         raise RuntimeError("every grid point is pole-proximate; nothing to report")
-    rows = []
-    for i in report.realization_indices:
-        for k, e in enumerate(report.energies):
-            skipped = not report.ok[i, k]
-            for j, r in enumerate(report.ranks):
-                value = math.nan if skipped else report.moments[i, j, k]
-                rows.append((report.seed, i, e, r, value, skipped))
+    rows = _moments_rows(
+        report.seed,
+        report.realization_indices,
+        report.energies,
+        report.ranks,
+        report.moments,
+        report.ok,
+    )
     writer.table("moments", ["seed", "index", "e", "r", "S_r", "skipped"], rows)
     ipr_rows = []
     top = report.ipr_ranks[0]
@@ -639,6 +629,9 @@ def main(argv=None) -> int:
         return 3
     except greens.PoleProximityError as exc:
         _error("pole-proximity", str(exc))
+        return 3
+    except spectral.EigenvalueGroupingError as exc:
+        _error("eigenvalue-grouping", str(exc))
         return 3
     except (ConfigError, ValueError) as exc:
         # out-of-range sites/ranks surface here as library ValueErrors

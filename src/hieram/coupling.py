@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import HierarchySpec, Truncation
+from .hierarchy import HierarchySpec, Truncation, spec_of
 
 EXPLICIT_MASS_TOL = 1e-12
 
@@ -87,10 +87,6 @@ class CouplingSequence:
             n_s *= spec.factor(s)
 
 
-def _spec_of(geometry: HierarchySpec | Truncation) -> HierarchySpec:
-    return geometry.spec if isinstance(geometry, Truncation) else geometry
-
-
 class GeometricCoupling(CouplingSequence):
     """p_r = (rho - 1) rho^{-r}; lambda_r = 1 - rho^{-r} in closed form."""
 
@@ -118,7 +114,7 @@ class GeometricCoupling(CouplingSequence):
         return -r * math.log(self.rho)
 
     def weighted_tail(self, r: int, geometry) -> float:
-        spec = _spec_of(geometry)
+        spec = spec_of(geometry)
         return self._sum_weighted_tail(r, spec, 1.0 / (2.0 * self.rho))
 
 
@@ -184,7 +180,7 @@ class PolyGeometricCoupling(CouplingSequence):
         )
 
     def weighted_tail(self, r: int, geometry) -> float:
-        spec = _spec_of(geometry)
+        spec = spec_of(geometry)
         return self._sum_weighted_tail(r, spec, 1.0 / (2.0 * self.n))
 
 
@@ -232,7 +228,7 @@ class ExplicitCoupling(CouplingSequence):
 
     def weighted_tail(self, r: int, geometry) -> float:
         # the declared tail is carried at the first rank past the list
-        spec = _spec_of(geometry)
+        spec = spec_of(geometry)
         total = 0.0
         for s in range(r + 1, self.length + 1):
             total += self.p(s) / spec.size(s)
@@ -318,7 +314,7 @@ def check_main_hypothesis(
     """Evaluate sum_r p_r N_{r-1} u_{r-1} u_r, the localization hypothesis."""
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
-    spec = _spec_of(t)
+    spec = spec_of(t)
     terms = []
     n_prev = 1.0
     for r in range(1, r_max + 1):
@@ -401,7 +397,7 @@ def fractional_moment_bounds(
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    spec = _spec_of(t)
+    spec = spec_of(t)
     lower_terms, upper_terms = [], []
     n_r = 1.0
     for r in range(1, r_max + 1):

@@ -1,4 +1,4 @@
-"""Random diagonal potentials and the Anderson Hamiltonians they define.
+"""Random diagonal potentials for the Anderson Hamiltonian.
 
 Sampling uses the counter-based Philox generator keyed by (master seed,
 realization index), so distinct realizations come from provably disjoint
@@ -14,8 +14,6 @@ from typing import Union
 
 import numpy as np
 
-from . import operators
-from .coupling import CouplingSequence
 from .hierarchy import Truncation
 
 
@@ -116,13 +114,3 @@ def sample_potential(
     values = dist.draw(rng, t.site_count)
     return PotentialSample(values, dist, seed, index)
 
-
-def hamiltonian(
-    t: Truncation,
-    seq: CouplingSequence,
-    omega: PotentialSample,
-    r: int,
-    include_tail: bool = False,
-) -> operators.Hamiltonian:
-    """The rank-r Anderson Hamiltonian: potential plus cut-off Laplacian."""
-    return operators.Hamiltonian(t, seq, omega.values, r, include_tail)

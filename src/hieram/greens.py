@@ -27,6 +27,7 @@ import numpy as np
 
 from .coupling import CouplingSequence
 from .hierarchy import Truncation
+from .operators import potential_values
 
 POLE_TOL = 1e-12
 
@@ -40,15 +41,6 @@ class PoleProximityError(ArithmeticError):
         super().__init__(
             f"cascade denominator below {POLE_TOL:g} at level {level} for z={z}"
         )
-
-
-def _potential_values(t: Truncation, omega) -> np.ndarray:
-    values = np.asarray(getattr(omega, "values", omega), dtype=float)
-    if values.shape != (t.site_count,):
-        raise ValueError(
-            f"potential must have length {t.site_count}, got shape {values.shape}"
-        )
-    return values
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ def build_cascade(
         r = t.depth
     if not 0 <= r <= t.depth:
         raise ValueError(f"rank {r} out of range [0, {t.depth}]")
-    values = _potential_values(t, omega)
+    values = potential_values(t, omega)
     z = complex(z)
 
     denom0 = values - z
@@ -243,7 +235,7 @@ def moment_ladder_sweep(
     if not 0 <= r_max <= t.depth:
         raise ValueError(f"rank {r_max} out of range [0, {t.depth}]")
     t._check_site(x)
-    values = _potential_values(t, omega)
+    values = potential_values(t, omega)
     energies = np.asarray(energies, dtype=float)
     moments = np.empty((r_max + 1, energies.size))
     ok = np.empty(energies.size, dtype=bool)
@@ -272,7 +264,7 @@ def cluster_norm_sweep(
     if not 0 <= r <= t.depth:
         raise ValueError(f"rank {r} out of range [0, {t.depth}]")
     t._check_site(x)
-    values = _potential_values(t, omega)
+    values = potential_values(t, omega)
     energies = np.asarray(energies, dtype=float)
     norm2 = np.empty(energies.size)
     ok = np.empty(energies.size, dtype=bool)

@@ -155,6 +155,11 @@ class Truncation:
             raise ValueError(f"rank {r} out of range [0, {self.depth}]")
 
 
+def spec_of(geometry: HierarchySpec | Truncation) -> HierarchySpec:
+    """The branching plan of a plan or of a truncation."""
+    return geometry.spec if isinstance(geometry, Truncation) else geometry
+
+
 def build_truncation(spec: HierarchySpec) -> Truncation:
     """Construct the finite truncation with sizes N_0..N_R."""
     return Truncation(spec)

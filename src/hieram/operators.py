@@ -1,12 +1,16 @@
-"""Matrix-free operators on a hierarchical truncation, plus dense oracles.
+"""The hierarchical operator on a truncation, plus dense oracles.
 
-The averaging operator at rank r replaces each rank-r block of a state by its
-block mean; the cut-off Laplacian is the weighted sum of averaging operators
-up to rank r.  Applications run in O(N * r) via blocked scans.  Compressing
-the full Laplacian to the truncation leaves the cut-off part plus a rank-one
-uniform kernel carrying the coupling tail: for x, y inside the truncation and
-s > R both sites share their rank-s cluster, so each deep level contributes
-the constant p_s / N_s.
+Every operator here - an averaging operator E_r, a cut-off or compressed
+Laplacian, an Anderson Hamiltonian - is one object
+
+    diag(potential) + sum_{s=0..R} w_s E_s + tau J,
+
+where E_s replaces each rank-s block of a state by its block mean (E_0 is
+the identity) and J is the all-ones kernel.  Compressing the full Laplacian
+to the truncation leaves the cut-off part plus that uniform kernel carrying
+the coupling tail: for x, y inside the truncation and s > R both sites share
+their rank-s cluster, so each deep level contributes the constant p_s / N_s.
+Applications run in O(N * R) via blocked scans.
 
 Dense assembly goes through the distance kernel (independent of apply, so the
 two paths can cross-check each other), and the dense symmetric eigensolver
@@ -44,180 +48,122 @@ def _check_cap(n: int, cap: int):
         raise DenseCapError(f"dense size {n} exceeds cap {cap}")
 
 
-def averaging_apply(t: Truncation, r: int, psi: np.ndarray) -> np.ndarray:
-    """Replace each rank-r block by its mean; fixes constants, projects."""
+def _check_rank(t: Truncation, r: int):
     if not 0 <= r <= t.depth:
         raise ValueError(f"rank {r} out of range [0, {t.depth}]")
-    psi = _as_state(t, psi)
-    if r == 0:
-        return psi.copy()
-    n_r = t.sizes[r]
-    means = psi.reshape(-1, n_r).mean(axis=1)
-    return np.repeat(means, n_r)
 
 
-def cutoff_apply(
-    t: Truncation, seq: CouplingSequence, r: int, psi: np.ndarray
-) -> np.ndarray:
-    """Apply sum_{s<=r} p_s E_s in one bottom-up/top-down blocked pass."""
-    if not 0 <= r <= t.depth:
-        raise ValueError(f"rank {r} out of range [0, {t.depth}]")
-    psi = _as_state(t, psi)
-    if r == 0:
-        return np.zeros_like(psi)
-    # bottom-up block sums per level, then accumulate weighted means downward
-    sums = psi
-    per_level = []
-    for s in range(1, r + 1):
-        sums = sums.reshape(-1, t.factor(s)).sum(axis=1)
-        per_level.append(sums)
-    acc = (seq.p(r) / t.sizes[r]) * per_level[r - 1]
-    for s in range(r, 1, -1):
-        acc = np.repeat(acc, t.factor(s))
-        acc = acc + (seq.p(s - 1) / t.sizes[s - 1]) * per_level[s - 2]
-    return np.repeat(acc, t.factor(1))
-
-
-def _cutoff_kernel(t: Truncation, seq: CouplingSequence, r: int) -> np.ndarray:
-    """Lookup table K[d] = sum_{s=max(1,d)}^{r} p_s / N_s, zero past rank r."""
-    w = np.array([seq.p(s) / t.sizes[s] for s in range(1, r + 1)])
-    k = np.zeros(t.depth + 1)
-    if r > 0:
-        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-        k[: r + 1] = suffix[np.maximum(np.arange(r + 1), 1) - 1]
-    return k
-
-
-class Averaging:
-    """Orthogonal projection onto states constant on rank-r clusters."""
-
-    def __init__(self, t: Truncation, rank: int):
-        if not 0 <= rank <= t.depth:
-            raise ValueError(f"rank {rank} out of range [0, {t.depth}]")
-        self.trunc = t
-        self.rank = rank
-
-    def apply(self, psi) -> np.ndarray:
-        return averaging_apply(self.trunc, self.rank, psi)
-
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        t = self.trunc
-        _check_cap(t.site_count, cap)
-        d = distance_matrix(t)
-        return np.where(d <= self.rank, 1.0 / t.sizes[self.rank], 0.0)
-
-
-class CutoffLaplacian:
-    """The rank-r cut-off Laplacian; block diagonal over rank-r clusters."""
-
-    def __init__(self, t: Truncation, seq: CouplingSequence, rank: int):
-        if not 0 <= rank <= t.depth:
-            raise ValueError(f"rank {rank} out of range [0, {t.depth}]")
-        self.trunc = t
-        self.coupling = seq
-        self.rank = rank
-
-    def apply(self, psi) -> np.ndarray:
-        return cutoff_apply(self.trunc, self.coupling, self.rank, psi)
-
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        t = self.trunc
-        _check_cap(t.site_count, cap)
-        k = _cutoff_kernel(t, self.coupling, self.rank)
-        return k[distance_matrix(t)]
-
-
-class RestrictedFullLaplacian:
-    """Exact compression of the full Laplacian onto the truncation.
-
-    Equals the depth-R cut-off Laplacian plus the uniform rank-one kernel
-    sum_{s>R} p_s / N_s on every entry.
-    """
-
-    def __init__(self, t: Truncation, seq: CouplingSequence):
-        self.trunc = t
-        self.coupling = seq
-        self.tail_weight = seq.weighted_tail(t.depth, t)
-
-    def apply(self, psi) -> np.ndarray:
-        t = self.trunc
-        out = cutoff_apply(t, self.coupling, t.depth, psi)
-        psi = _as_state(t, psi)
-        return out + self.tail_weight * psi.sum()
-
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        t = self.trunc
-        _check_cap(t.site_count, cap)
-        k = _cutoff_kernel(t, self.coupling, t.depth) + self.tail_weight
-        return k[distance_matrix(t)]
-
-
-class Hamiltonian:
-    """Random potential plus cut-off Laplacian at rank r.
-
-    ``include_tail`` adds the compression's uniform kernel and is only
-    meaningful at the truncation depth.
-    """
-
-    def __init__(
-        self,
-        t: Truncation,
-        seq: CouplingSequence,
-        omega: np.ndarray,
-        rank: int,
-        include_tail: bool = False,
-    ):
-        if not 0 <= rank <= t.depth:
-            raise ValueError(f"rank {rank} out of range [0, {t.depth}]")
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (t.site_count,):
-            raise ValueError(
-                f"potential must have length {t.site_count}, got shape {omega.shape}"
-            )
-        if include_tail and rank != t.depth:
-            raise ValueError("the tail kernel only applies at the truncation depth")
-        self.trunc = t
-        self.coupling = seq
-        self.omega = omega
-        self.rank = rank
-        self.include_tail = include_tail
-        self.tail_weight = seq.weighted_tail(t.depth, t) if include_tail else 0.0
-
-    def apply(self, psi) -> np.ndarray:
-        psi = _as_state(self.trunc, psi)
-        out = self.omega * psi + cutoff_apply(
-            self.trunc, self.coupling, self.rank, psi
+def potential_values(t: Truncation, omega) -> np.ndarray:
+    """The site values of a potential given as an array or a PotentialSample."""
+    values = np.asarray(getattr(omega, "values", omega), dtype=float)
+    if values.shape != (t.site_count,):
+        raise ValueError(
+            f"potential must have length {t.site_count}, got shape {values.shape}"
         )
-        if self.include_tail:
-            out = out + self.tail_weight * psi.sum()
-        return out
+    return values
 
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
+
+class HierarchicalOperator:
+    """diag(potential) + sum_{s=0..R} w_s E_s + tau J on a truncation.
+
+    ``weights`` holds w_0..w_R, so R is the rank; ``potential`` may be None.
+    """
+
+    def __init__(self, t: Truncation, weights, tail: float = 0.0, potential=None):
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError(f"weights must be a vector, got shape {weights.shape}")
+        self.rank = weights.size - 1
+        _check_rank(t, self.rank)
+        self.trunc = t
+        self.weights = weights
+        self.tail = tail
+        self.potential = None if potential is None else potential_values(t, potential)
+
+    def apply(self, psi) -> np.ndarray:
+        """One bottom-up/top-down blocked pass over the ranks."""
         t = self.trunc
-        _check_cap(t.site_count, cap)
-        k = _cutoff_kernel(t, self.coupling, self.rank) + self.tail_weight
-        h = k[distance_matrix(t)]
-        h[np.diag_indices(t.site_count)] += self.omega
+        psi = _as_state(t, psi)
+        # block sums per level, then accumulate weighted means downward
+        sums = [psi]
+        for s in range(1, self.rank + 1):
+            sums.append(sums[-1].reshape(-1, t.factor(s)).sum(axis=1))
+        acc = (self.weights[-1] / t.sizes[self.rank]) * sums[-1]
+        for s in range(self.rank, 0, -1):
+            acc = np.repeat(acc, t.factor(s))
+            acc = acc + (self.weights[s - 1] / t.sizes[s - 1]) * sums[s - 1]
+        if self.potential is not None:
+            acc = acc + self.potential * psi
+        return acc + self.tail * psi.sum()
+
+    def dense(self, cap: int = DENSE_CAP, m: int | None = None) -> np.ndarray:
+        """The matrix on the first m sites (default: all) via the distance kernel.
+
+        Entry (x, y) is K[d(x, y)] with K[d] = sum_{s=d}^{R} w_s / N_s + tau.
+        """
+        t = self.trunc
+        n = t.site_count if m is None else m
+        _check_cap(n, cap)
+        per_site = self.weights / np.array(t.sizes[: self.rank + 1])
+        k = np.zeros(t.depth + 1)
+        k[: self.rank + 1] = np.cumsum(per_site[::-1])[::-1]
+        h = (k + self.tail)[distance_matrix(t, m)]
+        if self.potential is not None:
+            h[np.diag_indices(n)] += self.potential[:n]
         return h
+
+
+def averaging(t: Truncation, r: int) -> HierarchicalOperator:
+    """E_r: orthogonal projection onto states constant on rank-r clusters."""
+    _check_rank(t, r)
+    return HierarchicalOperator(t, np.eye(r + 1)[r])
+
+
+def laplacian(
+    t: Truncation, seq: CouplingSequence, r: int, include_tail: bool = False
+) -> HierarchicalOperator:
+    """The rank-r cut-off Laplacian sum_{1<=s<=r} p_s E_s.
+
+    ``include_tail`` adds the compression's uniform kernel, making it the
+    exact compression of the full Laplacian; only meaningful at the depth.
+    """
+    _check_rank(t, r)
+    if include_tail and r != t.depth:
+        raise ValueError("the tail kernel only applies at the truncation depth")
+    weights = [0.0] + [seq.p(s) for s in range(1, r + 1)]
+    tail = seq.weighted_tail(t.depth, t) if include_tail else 0.0
+    return HierarchicalOperator(t, weights, tail)
+
+
+def hamiltonian(
+    t: Truncation,
+    seq: CouplingSequence,
+    omega,
+    r: int,
+    include_tail: bool = False,
+) -> HierarchicalOperator:
+    """The rank-r Anderson Hamiltonian: potential plus cut-off Laplacian.
+
+    ``omega`` is an array of site values or a PotentialSample.
+    """
+    lap = laplacian(t, seq, r, include_tail)
+    return HierarchicalOperator(t, lap.weights, lap.tail, omega)
 
 
 def cutoff_dense_block(
     t: Truncation, seq: CouplingSequence, r: int, cap: int = DENSE_CAP
 ) -> np.ndarray:
     """Dense rank-r cut-off Laplacian restricted to the cluster at site 0."""
-    if not 0 <= r <= t.depth:
-        raise ValueError(f"rank {r} out of range [0, {t.depth}]")
-    n_r = t.sizes[r]
-    _check_cap(n_r, cap)
-    k = _cutoff_kernel(t, seq, r)
-    return k[distance_matrix(t, n_r)]
+    return laplacian(t, seq, r).dense(cap, t.sizes[r])
 
 
 def compression_dense_block(
     t: Truncation, seq: CouplingSequence, r: int, cap: int = DENSE_CAP
 ) -> np.ndarray:
     """Dense compression of the full Laplacian onto the cluster at site 0."""
-    return cutoff_dense_block(t, seq, r, cap) + seq.weighted_tail(r, t)
+    weights = laplacian(t, seq, r).weights
+    op = HierarchicalOperator(t, weights, seq.weighted_tail(r, t))
+    return op.dense(cap, t.sizes[r])
 
 
 @dataclass(frozen=True)

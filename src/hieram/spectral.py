@@ -17,9 +17,11 @@ import numpy as np
 
 from . import operators
 from .coupling import CouplingSequence, GeometricCoupling
-from .hierarchy import HierarchySpec, Truncation
+from .hierarchy import HierarchySpec, Truncation, spec_of
 
-DOS_MERGE_TOL = 1e-9
+
+class EigenvalueGroupingError(ArithmeticError):
+    """Dense eigenvalues do not group into the exact atoms' multiplicities."""
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,6 @@ class SpectralMeasure:
     @property
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.locations.tolist(), self.weights.tolist()))
-
-
-def _spec_of(geometry: HierarchySpec | Truncation) -> HierarchySpec:
-    return geometry.spec if isinstance(geometry, Truncation) else geometry
 
 
 def exact_cutoff_spectrum(
@@ -84,7 +82,7 @@ def limiting_spectral_measure(
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    spec = _spec_of(geometry)
+    spec = spec_of(geometry)
     locations = np.empty(r_max + 1)
     weights = np.empty(r_max + 1)
     n_r = 1
@@ -96,25 +94,55 @@ def limiting_spectral_measure(
     return SpectralMeasure(locations, weights, 1.0 - 1.0 / n_r)
 
 
+def group_eigenvalues(
+    values: np.ndarray, atoms: list[tuple[float, int]]
+) -> list[tuple[float, int]]:
+    """Group sorted dense eigenvalues into (mean location, count) per exact atom.
+
+    Sorted atoms at equal locations merge first, summing their multiplicities
+    (a coupling that vanishes beyond some rank repeats lambda_s).  A new group
+    starts wherever neighbouring values lie further apart than half the
+    smallest gap between the merged atoms.  Raises EigenvalueGroupingError
+    unless the groups reproduce the merged atoms' count and multiplicities,
+    each mean within half that gap of its atom, as fails when two distinct
+    atoms lie closer than the eigensolver resolves.
+    """
+    merged = []
+    for loc, mult in atoms:
+        if merged and merged[-1][0] == loc:
+            mult += merged.pop()[1]
+        merged.append((loc, mult))
+    gap = min(np.diff([loc for loc, _ in merged]), default=math.inf)
+    groups = []
+    lo = 0
+    for hi in range(1, values.size + 1):
+        if hi == values.size or values[hi] - values[hi - 1] > gap / 2:
+            groups.append((float(values[lo:hi].mean()), hi - lo))
+            lo = hi
+    if [m for _, m in groups] != [m for _, m in merged] or any(
+        abs(g - a) > gap / 2 for (g, _), (a, _) in zip(groups, merged)
+    ):
+        raise EigenvalueGroupingError(
+            f"{len(groups)} dense eigenvalue groups do not reproduce the "
+            f"{len(merged)} distinct exact atoms (smallest gap {gap:g})"
+        )
+    return groups
+
+
 def finite_volume_dos(
     t: Truncation, seq: CouplingSequence, r: int, cap: int = operators.DENSE_CAP
 ) -> SpectralMeasure:
     """Eigenvalue counting measure of the compression onto the rank-r cluster.
 
     Computed from a dense eigensolve; every eigenvalue carries weight 1/N_r
-    and eigenvalues closer than the merge tolerance coalesce into one atom.
+    and the eigenvalues of each exact atom coalesce into one atom.
     """
     block = operators.compression_dense_block(t, seq, r, cap)
     values = operators.dense_symmetric_eigensolve(block).eigenvalues
-    n_r = t.sizes[r]
-    locations, weights = [], []
-    lo = 0
-    for hi in range(1, n_r + 1):
-        if hi == n_r or values[hi] - values[hi - 1] > DOS_MERGE_TOL:
-            locations.append(values[lo:hi].mean())
-            weights.append((hi - lo) / n_r)
-            lo = hi
-    return SpectralMeasure(np.array(locations), np.array(weights), 1.0)
+    groups = group_eigenvalues(values, restricted_full_spectrum(t, seq, r))
+    locations = np.array([loc for loc, _ in groups])
+    weights = np.array([mult / t.sizes[r] for _, mult in groups])
+    return SpectralMeasure(locations, weights, 1.0)
 
 
 def spectral_dimension(seq: GeometricCoupling, degree: int) -> float:
@@ -174,7 +202,7 @@ def walk_classification(
     """
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    spec = _spec_of(geometry)
+    spec = spec_of(geometry)
     terms = np.empty(r_max + 1)
     log_n = 0.0
     for r in range(r_max + 1):

@@ -37,12 +37,7 @@ from hieram import (
 )
 from hieram.cli import main
 from hieram.coupling import CONVERGES_ANALYTIC
-from hieram.operators import (
-    CutoffLaplacian,
-    RestrictedFullLaplacian,
-    compression_dense_block,
-    cutoff_dense_block,
-)
+from hieram.operators import compression_dense_block, cutoff_dense_block, laplacian
 
 
 def report(number, description, failures):
@@ -106,8 +101,8 @@ def test_criterion_2_compression_spectrum():
         if abs(shift - t.site_count * seq.weighted_tail(t.depth, t)) >= 1e-15:
             failures.append((degree, rho, "shift"))
         gap = (
-            RestrictedFullLaplacian(t, seq).dense()
-            - CutoffLaplacian(t, seq, t.depth).dense()
+            laplacian(t, seq, t.depth, include_tail=True).dense()
+            - laplacian(t, seq, t.depth).dense()
         )
         norm = np.abs(dense_symmetric_eigensolve(gap).eigenvalues).max()
         if norm > seq.tail(t.depth) + 1e-15:

@@ -237,3 +237,85 @@ def test_spectrum_values_round_trip(tmp_path):
     for (eloc, emult, _), (dloc, dmult, _) in zip(exact, dense):
         assert abs(float(eloc) - float(dloc)) < 1e-9
         assert emult == dmult
+
+
+def _atoms_degree2(rho, depth, tail):
+    """Exact atoms of the degree-2 geometric Laplacian, from closed forms."""
+    atoms = [(1.0 - rho**-s, 2 ** (depth - s - 1)) for s in range(depth)]
+    top = 1.0 - rho**-depth
+    if tail:
+        # N_R * sum_{s>R} p_s / N_s, a geometric series in 1 / (2 rho)
+        top += 2**depth * (rho - 1) * (2 * rho) ** -depth / (2 * rho - 1)
+    return atoms + [(top, 1)]
+
+
+def _dense_cfg(rho, **extra):
+    cfg = base_config(**extra)
+    cfg["hierarchy"] = {"degree": 2, "depth": 10}
+    cfg["coupling"] = {"family": "geometric", "rho": rho}
+    return cfg
+
+
+def test_spectrum_keeps_close_top_atoms_apart(tmp_path):
+    # at rho 16 the top atoms lie within 1e-9 of each other, closer than an
+    # absolute grouping tolerance, but still far apart relative to their gaps
+    config = write_config(tmp_path, _dense_cfg(16.0, include_tail=False))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 0
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    dense = [l.split(",") for l in lines[1:] if l.endswith("dense")]
+    exact = _atoms_degree2(16.0, 10, tail=False)
+    assert len(dense) == len(exact) == 11
+    for (loc, mult, _), (eloc, emult) in zip(dense, exact):
+        assert abs(float(loc) - eloc) < 1e-9
+        assert int(mult) == emult
+
+
+def test_dos_keeps_close_top_atoms_apart(tmp_path):
+    config = write_config(tmp_path, _dense_cfg(16.0))
+    out = tmp_path / "out"
+    assert main(["dos", "--config", config, "--out", str(out)]) == 0
+    lines = (out / "dos.csv").read_text().splitlines()
+    nu = [l.split(",") for l in lines[1:] if l.endswith(",nu")]
+    exact = _atoms_degree2(16.0, 10, tail=True)
+    assert len(nu) == len(exact) == 11
+    for (loc, weight, _), (eloc, emult) in zip(nu, exact):
+        assert abs(float(loc) - eloc) < 1e-9
+        assert float(weight) == emult / 2**10
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
+def test_equal_atoms_merge_into_one_row(tmp_path, subcommand):
+    # p_s = 0 beyond s = 2, so lambda_2 = lambda_3 = lambda_4 = 1 exactly
+    cfg = base_config(include_tail=False)
+    cfg["coupling"] = {"family": "explicit", "weights": [0.5, 0.5]}
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 0
+    table, source = ("spectrum", "dense") if subcommand == "spectrum" else ("dos", "nu")
+    lines = (out / f"{table}.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if l.endswith("," + source)]
+    merged = [(0.0, 8), (0.5, 4), (1.0, 4)]
+    assert len(rows) == len(merged)
+    for (loc, value, _), (eloc, emult) in zip(rows, merged):
+        assert abs(float(loc) - eloc) < 1e-9
+        if subcommand == "spectrum":
+            assert int(value) == emult
+        else:
+            assert float(value) == emult / 16
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
+def test_unresolved_atoms_exit_3(tmp_path, capsys, subcommand):
+    # at rho 64 the top two atoms 1 - 64^-9 and 1 - 64^-10 both round to 1.0
+    # and merge, but the next atom down lies only 64^-8 below them, inside
+    # the eigensolver's rounding noise, so no grouping reproduces the table
+    exact = _atoms_degree2(64.0, 10, tail=False)
+    assert exact[-2][0] == exact[-1][0] == 1.0
+    assert exact[-1][0] - exact[-3][0] < 4e-15
+    config = write_config(tmp_path, _dense_cfg(64.0))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "eigenvalue-grouping"
+    assert not (out / "manifest.json").exists()

@@ -4,13 +4,13 @@ import pytest
 from hieram import (
     Bernoulli,
     Cauchy,
-    CutoffLaplacian,
     Gaussian,
     GeometricCoupling,
     HierarchySpec,
     Uniform,
     build_truncation,
     hamiltonian,
+    laplacian,
     sample_potential,
 )
 
@@ -100,7 +100,7 @@ def test_zero_potential_reduces_to_cutoff():
     zero = type(omega)(np.zeros(8), omega.distribution, 0, 0)
     h = hamiltonian(t, seq, zero, 2)
     psi = np.linspace(-1, 1, 8)
-    assert np.array_equal(h.apply(psi), CutoffLaplacian(t, seq, 2).apply(psi))
+    assert np.array_equal(h.apply(psi), laplacian(t, seq, 2).apply(psi))
 
 
 def test_rank_r_clusters_are_invariant_blocks():

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from hieram import (
-    Averaging,
-    CutoffLaplacian,
     DenseCapError,
     ExplicitCoupling,
     GeometricCoupling,
-    Hamiltonian,
+    HierarchicalOperator,
     HierarchySpec,
-    RestrictedFullLaplacian,
+    averaging,
     build_truncation,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
+    hamiltonian,
+    laplacian,
 )
 from hieram.operators import compression_dense_block, cutoff_dense_block
 
@@ -25,7 +25,7 @@ def test_averaging_on_delta():
     t = _t()
     delta0 = np.zeros(8)
     delta0[0] = 1.0
-    out = Averaging(t, 1).apply(delta0)
+    out = averaging(t, 1).apply(delta0)
     assert np.array_equal(out, np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0]))
 
 
@@ -33,21 +33,21 @@ def test_averaging_fixes_constants():
     t = _t(3, 2)
     ones = np.ones(t.site_count)
     for r in range(t.depth + 1):
-        assert np.allclose(Averaging(t, r).apply(ones), ones, atol=1e-15)
+        assert np.allclose(averaging(t, r).apply(ones), ones, atol=1e-15)
 
 
 def test_cutoff_row_sums_equal_partial_mass():
     # each averaging operator is stochastic, so rows sum to lambda_r
     t = _t(2, 4)
     seq = GeometricCoupling(4.0)
-    dense = CutoffLaplacian(t, seq, t.depth).dense()
+    dense = laplacian(t, seq, t.depth).dense()
     assert np.allclose(dense.sum(axis=1), seq.lam(t.depth), atol=1e-14)
 
 
 def test_averaging_dense_two_sites():
     t = _t(2, 1)
     assert np.allclose(
-        Averaging(t, 1).dense(), np.array([[0.5, 0.5], [0.5, 0.5]]), atol=0
+        averaging(t, 1).dense(), np.array([[0.5, 0.5], [0.5, 0.5]]), atol=0
     )
 
 
@@ -55,7 +55,7 @@ def test_cutoff_dense_matches_kernel_formula():
     t = _t(2, 3)
     seq = GeometricCoupling(2.0)
     for r in range(t.depth + 1):
-        dense = CutoffLaplacian(t, seq, r).dense()
+        dense = laplacian(t, seq, r).dense()
         for x in range(8):
             for y in range(8):
                 d = t.distance(x, y)
@@ -70,7 +70,7 @@ def test_hamiltonian_diagonal_entries():
     seq = GeometricCoupling(4.0)
     omega = np.arange(8.0)
     r = 2
-    dense = Hamiltonian(t, seq, omega, r).dense()
+    dense = hamiltonian(t, seq, omega, r).dense()
     diag_kernel = sum(seq.p(s) / t.sizes[s] for s in range(1, r + 1))
     assert np.allclose(np.diag(dense), omega + diag_kernel, atol=1e-15)
 
@@ -79,10 +79,10 @@ def test_dense_matches_apply_on_basis_vectors():
     t = build_truncation(HierarchySpec.explicit([2, 3, 2]))
     seq = GeometricCoupling(3.0)
     ops = [
-        Averaging(t, 2),
-        CutoffLaplacian(t, seq, 3),
-        RestrictedFullLaplacian(t, seq),
-        Hamiltonian(t, seq, np.linspace(-1, 1, 12), 2),
+        averaging(t, 2),
+        laplacian(t, seq, 3),
+        laplacian(t, seq, t.depth, include_tail=True),
+        hamiltonian(t, seq, np.linspace(-1, 1, 12), 2),
     ]
     basis = np.eye(t.site_count)
     for op in ops:
@@ -108,10 +108,10 @@ def test_apply_matches_dense_on_random_vectors(spec, seqf):
     psi = rng.standard_normal(t.site_count)
     phi = rng.standard_normal(t.site_count) + 1j * rng.standard_normal(t.site_count)
     for op in [
-        Averaging(t, min(2, t.depth)),
-        CutoffLaplacian(t, seq, t.depth),
-        RestrictedFullLaplacian(t, seq),
-        Hamiltonian(t, seq, rng.standard_normal(t.site_count), t.depth),
+        averaging(t, min(2, t.depth)),
+        laplacian(t, seq, t.depth),
+        laplacian(t, seq, t.depth, include_tail=True),
+        hamiltonian(t, seq, rng.standard_normal(t.site_count), t.depth),
     ]:
         dense = op.dense()
         assert np.abs(op.apply(psi) - dense @ psi).max() < 1e-12
@@ -124,11 +124,11 @@ def test_averaging_projection_algebra():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(t.site_count)
     for r in range(t.depth + 1):
-        e_r = Averaging(t, r)
+        e_r = averaging(t, r)
         assert np.abs(e_r.apply(e_r.apply(psi)) - e_r.apply(psi)).max() < 1e-12
         for s in range(t.depth + 1):
-            lhs = Averaging(t, s).apply(e_r.apply(psi))
-            rhs = Averaging(t, max(r, s)).apply(psi)
+            lhs = averaging(t, s).apply(e_r.apply(psi))
+            rhs = averaging(t, max(r, s)).apply(psi)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -136,7 +136,7 @@ def test_cutoff_symmetry_inner_product():
     t = _t(3, 3)
     seq = GeometricCoupling(2.0)
     rng = np.random.default_rng(11)
-    op = CutoffLaplacian(t, seq, 3)
+    op = laplacian(t, seq, 3)
     for _ in range(5):
         phi = rng.standard_normal(t.site_count)
         psi = rng.standard_normal(t.site_count)
@@ -148,7 +148,7 @@ def test_cutoff_spectrum_inside_unit_band():
     seq = GeometricCoupling(2.0)
     for r in range(t.depth + 1):
         values = dense_symmetric_eigensolve(
-            CutoffLaplacian(t, seq, r).dense()
+            laplacian(t, seq, r).dense()
         ).eigenvalues
         assert values.min() > -1e-12
         assert values.max() < seq.lam(r) + 1e-12
@@ -159,7 +159,7 @@ def test_compression_within_tail_of_cutoff(degree, rho):
     # operator-norm gap between compression and cut-off is at most the tail
     t = build_truncation(HierarchySpec.homogeneous(degree, 4))
     seq = GeometricCoupling(rho)
-    gap = RestrictedFullLaplacian(t, seq).dense() - CutoffLaplacian(
+    gap = laplacian(t, seq, t.depth, include_tail=True).dense() - laplacian(
         t, seq, t.depth
     ).dense()
     norm = np.abs(dense_symmetric_eigensolve(gap).eigenvalues).max()
@@ -182,7 +182,7 @@ def test_eigensolve_agrees_with_exact_multiplicities():
     t = _t(2, 3)
     seq = GeometricCoupling(4.0)
     values = dense_symmetric_eigensolve(
-        CutoffLaplacian(t, seq, 3).dense()
+        laplacian(t, seq, 3).dense()
     ).eigenvalues
     expected = np.concatenate(
         [[loc] * mult for loc, mult in exact_cutoff_spectrum(t, seq, 3)]
@@ -203,7 +203,7 @@ def test_eigensolve_quality_and_determinism():
     t = _t(2, 6)
     seq = GeometricCoupling(2.0)
     rng = np.random.default_rng(5)
-    h = Hamiltonian(t, seq, rng.uniform(-0.5, 0.5, t.site_count), t.depth).dense()
+    h = hamiltonian(t, seq, rng.uniform(-0.5, 0.5, t.site_count), t.depth).dense()
     s1 = dense_symmetric_eigensolve(h)
     s2 = dense_symmetric_eigensolve(h.copy())
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
@@ -219,7 +219,7 @@ def test_dense_cap_enforced():
     t = _t(2, 4)
     seq = GeometricCoupling(2.0)
     with pytest.raises(DenseCapError):
-        CutoffLaplacian(t, seq, 4).dense(cap=8)
+        laplacian(t, seq, 4).dense(cap=8)
     with pytest.raises(DenseCapError):
         cutoff_dense_block(t, seq, 4, cap=8)
 
@@ -228,19 +228,19 @@ def test_operator_argument_validation():
     t = _t(2, 3)
     seq = GeometricCoupling(2.0)
     with pytest.raises(ValueError):
-        Averaging(t, 4)
+        averaging(t, 4)
     with pytest.raises(ValueError):
-        CutoffLaplacian(t, seq, 3).apply(np.zeros(7))
+        laplacian(t, seq, 3).apply(np.zeros(7))
     with pytest.raises(ValueError):
-        Hamiltonian(t, seq, np.zeros(4), 2)
+        hamiltonian(t, seq, np.zeros(4), 2)
     with pytest.raises(ValueError):
-        Hamiltonian(t, seq, np.zeros(8), 2, include_tail=True)
+        hamiltonian(t, seq, np.zeros(8), 2, include_tail=True)
 
 
 def test_compression_block_matches_full_matrix_corner():
     t = _t(2, 3)
     seq = GeometricCoupling(4.0)
-    full = RestrictedFullLaplacian(t, seq).dense()
+    full = laplacian(t, seq, t.depth, include_tail=True).dense()
     assert np.allclose(compression_dense_block(t, seq, 3), full, atol=0)
     sub = compression_dense_block(t, seq, 2)
     # the rank-2 block carries its own, larger tail weight
@@ -248,3 +248,21 @@ def test_compression_block_matches_full_matrix_corner():
     assert sub[0, 3] == pytest.approx(
         seq.p(2) / 4 + seq.weighted_tail(2, t), abs=1e-15
     )
+
+
+def test_general_operator_apply_matches_dense():
+    # identity weight, every averaging level, the uniform kernel and a potential
+    t = build_truncation(HierarchySpec.explicit([2, 3, 2]))
+    rng = np.random.default_rng(13)
+    op = HierarchicalOperator(
+        t, [0.3, 0.2, 0.1, 0.4], tail=0.05, potential=rng.standard_normal(12)
+    )
+    dense = op.dense()
+    psi = rng.standard_normal(t.site_count)
+    assert np.abs(op.apply(psi) - dense @ psi).max() < 1e-14
+    expected = np.diag(op.potential) + 0.3 * np.eye(12) + 0.05
+    for s, w in ((1, 0.2), (2, 0.1), (3, 0.4)):
+        expected += w * averaging(t, s).dense()
+    assert np.abs(dense - expected).max() < 1e-15
+    # the block at site 0 is the corner of the full matrix
+    assert np.array_equal(op.dense(m=6), dense[:6, :6])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hieram import (
-    CutoffLaplacian,
+    EigenvalueGroupingError,
     ExplicitCoupling,
     GeometricCoupling,
     HierarchySpec,
@@ -11,6 +11,8 @@ from hieram import (
     exact_cutoff_spectrum,
     finite_volume_dos,
     fit_spectral_dimension,
+    group_eigenvalues,
+    laplacian,
     limiting_spectral_measure,
     restricted_full_spectrum,
     spectral_dimension,
@@ -75,7 +77,7 @@ def test_dense_oracle_reproduces_cutoff_spectrum(degree, rho):
     for r in range(t.depth + 1):
         exact = exact_cutoff_spectrum(t, seq, r)
         dense = dense_symmetric_eigensolve(
-            CutoffLaplacian(t, seq, r).dense()[: t.sizes[r], : t.sizes[r]]
+            laplacian(t, seq, r).dense()[: t.sizes[r], : t.sizes[r]]
         ).eigenvalues
         min_gap = min(
             (b - a for (a, _), (b, _) in zip(exact, exact[1:])), default=1.0
@@ -257,3 +259,41 @@ def test_walk_log_terms_match_direct_formula():
         n_r = spec.size(r)
         direct = (1.0 / n_r - 1.0 / spec.size(r + 1)) / seq.tail(r)
         assert report.terms[r] == pytest.approx(direct, rel=1e-12)
+
+
+def test_group_eigenvalues_splits_by_half_the_smallest_gap():
+    atoms = [(0.0, 2), (1e-6, 1), (1.0, 3)]
+    values = np.array([-1e-12, 1e-12, 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    groups = group_eigenvalues(values, atoms)
+    assert [m for _, m in groups] == [2, 1, 3]
+    assert np.allclose([loc for loc, _ in groups], [0.0, 1e-6, 1.0], atol=1e-9)
+    # a single atom takes every value, however spread
+    assert group_eigenvalues(np.array([0.0, 0.5]), [(0.25, 2)]) == [(0.25, 2)]
+
+
+def test_group_eigenvalues_merges_atoms_at_equal_locations():
+    # a coupling that vanishes beyond some rank repeats lambda_s exactly
+    atoms = [(0.0, 2), (1.0, 2), (1.0, 1), (1.0, 1)]
+    values = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    assert group_eigenvalues(values, atoms) == [(0.0, 2), (1.0, 4)]
+    assert group_eigenvalues(np.array([1.0, 1.0]), [(1.0, 1), (1.0, 1)]) == [(1.0, 2)]
+
+
+def test_group_eigenvalues_refuses_a_wrong_table():
+    atoms = [(0.0, 2), (1.0, 2)]
+    with pytest.raises(EigenvalueGroupingError):
+        group_eigenvalues(np.array([0.0, 0.0, 0.0, 1.0]), atoms)
+    with pytest.raises(EigenvalueGroupingError):
+        group_eigenvalues(np.array([0.0, 0.4, 0.6, 1.0]), atoms)
+    # right multiplicities, but a group sits more than half the gap off its atom
+    with pytest.raises(EigenvalueGroupingError):
+        group_eigenvalues(np.array([0.0, 1.6]), [(0.0, 1), (1.0, 1)])
+
+
+def test_finite_volume_dos_refuses_unresolved_atoms():
+    # at rho 64 the top distinct atoms lie 3.6e-15 apart, inside the
+    # eigensolver's rounding noise
+    t = build_truncation(HierarchySpec.homogeneous(2, 10))
+    seq = GeometricCoupling(64.0)
+    with pytest.raises(EigenvalueGroupingError):
+        finite_volume_dos(t, seq, 10)
