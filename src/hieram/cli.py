@@ -542,6 +542,8 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
         return diagnostics.measure_bound_check(t, seq, omega, r, threshold, grid, site)
 
     reports = list(ctx["map_fn"](one, range(realizations)))
+    if all(rep.skipped == grid[2] for rep in reports):
+        raise RuntimeError("every grid point is pole-proximate; nothing to report")
     rows = [
         (rep.rank, rep.threshold, rep.empirical_measure, rep.bound, rep.passed)
         for rep in reports

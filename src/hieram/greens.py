@@ -4,13 +4,17 @@ Each averaging operator acts on a single cluster as the rank-one projection
 onto the normalized indicator phi_Q, so the resolvent of the rank-s
 Hamiltonian follows from the rank-(s-1) one by a Sherman-Morrison update per
 cluster.  Tracking only the solves against phi_Q - one length-N array per
-level plus one scalar per cluster - costs O(N * R) total and answers any
-resolvent entry, column, or squared-column-norm query afterwards in O(r) to
-O(N_r) time via the level expansion
+level plus one scalar per cluster - costs O(N * R) per evaluation point and
+answers any resolvent entry, column, or squared-column-norm query afterwards
+in O(r) to O(N_r) time via the level expansion
 
     G_r(x, y) = G_0(x, y) - sum_{s=d(x,y)}^{r} p_s N_{s-1} g_{s-1}(x) g_s(y),
 
 where g_s(t) is the mean of G_s(. , t) over the rank-s cluster of t.
+
+The energy sweeps need only squared norms at real energies, so they keep the
+per-cluster scalars and carry squared cluster norms up the tree instead of
+level vectors: O(N + R^2) float64 work per energy (see _sweep).
 
 Real energies are admitted: the resolvent exists off the countable union of
 finite-volume eigenvalue sets, and a pole guard rejects evaluation points
@@ -175,46 +179,79 @@ def moment_ladder(
 # ---------------------------------------------------------------------------
 
 
-def _sweep_chunk(t, seq, values, z, x, r_max, want_column, top_rank):
-    """Cascade over a chunk of energies at once; invalid points are masked."""
-    n_e = z.shape[0]
-    n = t.site_count
+def _child_sums(a, n):
+    """Sums over each run of n consecutive columns, the children of a cluster."""
+    total = a[:, 0::n]
+    for j in range(1, n):
+        total = total + a[:, j::n]
+    return total
+
+
+def _sweep(t, seq, values, energies, x, r):
+    """Moment ladder S_0..S_r(e), cluster norm and pole mask over real energies.
+
+    Runs the alpha/beta recursion of build_cascade over every cluster of
+    levels 1..r (the pole guard), but carries no level vectors.  With
+    F_s(Q) = 1/(sqrt(n_s) d_s(Q)) the level vectors obey
+    v_s(y) = F_s(Q_s(y)) v_{s-1}(y), so their squared norms over clusters,
+
+        W_0(y) = v_0(y)^2,    W_s(Q) = F_s(Q)^2 sum_{children Q'} W_{s-1}(Q'),
+
+    go up the tree inside Q_r(x) and give the cluster norm N_r W_r(Q_r(x)).
+    On the shell d(x, y) = s the column is G_r(x, y) = -A_{r,s} v_{s-1}(y)
+    with A_{r,s} = sum_{s'=s..r} b_{s'} prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
+    and b_s = p_s N_{s-1} g_{s-1}(x) / sqrt(N_s), hence
+
+        S_r = G_r(x, x)^2 + sum_{s=1..r} A_{r,s}^2 shell_s,
+
+    where shell_s sums W_{s-1} over the children of Q_s(x) other than
+    Q_{s-1}(x).  Both results are sums of non-negative terms; the only signed
+    sums are G_r(x, x) and A_{r,s}, the level sums the column path forms entry
+    by entry.  Cost per energy is O(N + r^2) in float64.  Returns
+    (moments, norm2, ok); entries where ok is False are not meaningful.
+    """
+    n_e = energies.size
+    sizes = t.sizes
+    lo = (x // sizes[r]) * sizes[r]
     ok = np.ones(n_e, dtype=bool)
+    moments = np.empty((r + 1, n_e))
+    shells = np.empty((r, n_e))
+    amps = np.zeros((r, n_e))  # amps[s-1] = A_{s',s} at the current rank s'
+    spans = np.empty((r, n_e))  # spans[s-1] = prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom0 = values[None, :] - z[:, None]
+        denom0 = values[None, :] - energies[:, None]
         ok &= np.abs(denom0).min(axis=1) >= POLE_TOL
-        v = 1.0 / denom0
-        alpha = v
-        moments = None
-        col = None
-        g_x = v[:, x].copy()
-        if want_column:
-            moments = np.empty((r_max + 1, n_e))
-            col = np.zeros((n_e, n), dtype=complex)
-            col[:, x] = v[:, x]
-            moments[0] = np.abs(col[:, x]) ** 2
-        for s in range(1, r_max + 1):
+        alpha = 1.0 / denom0
+        v_x = alpha[:, x].copy()  # v_s(x), the level vector at x
+        g_xx = v_x.copy()  # G_s(x, x)
+        w = alpha[:, lo : lo + sizes[r]] ** 2  # W_s over the rank-s clusters of Q_r(x)
+        moments[0] = g_xx**2
+        for s in range(1, r + 1):
             p_s = seq.p(s)
-            n_s = t.sizes[s]
-            beta = alpha.reshape(n_e, -1, t.factor(s)).mean(axis=2)
+            n_s = t.factor(s)
+            beta = _child_sums(alpha, n_s) / n_s
             denom = 1.0 + p_s * beta
             ok &= np.abs(denom).min(axis=1) >= POLE_TOL
             alpha = beta / denom
-            v = v / (math.sqrt(t.factor(s)) * np.repeat(denom, n_s, axis=1))
-            if want_column:
-                lo = (x // n_s) * n_s
-                coeff = p_s * t.sizes[s - 1] / math.sqrt(n_s)
-                col[:, lo : lo + n_s] -= (
-                    coeff * g_x[:, None] * v[:, lo : lo + n_s]
-                )
-                moments[s] = np.sum(np.abs(col) ** 2, axis=1)
-            g_x = v[:, x] / math.sqrt(n_s)
-        if want_column:
-            return moments, ok
-        lo = (x // t.sizes[top_rank]) * t.sizes[top_rank]
-        hi = lo + t.sizes[top_rank]
-        norm2 = t.sizes[top_rank] * np.sum(np.abs(v[:, lo:hi]) ** 2, axis=1)
-        return norm2, ok
+
+            parent = (x - lo) // sizes[s]
+            child = (x - lo) // sizes[s - 1] % n_s
+            siblings = np.delete(w[:, parent * n_s : (parent + 1) * n_s], child, axis=1)
+            shells[s - 1] = siblings.sum(axis=1)
+            first = lo // sizes[s]
+            f_q = 1.0 / (math.sqrt(n_s) * denom[:, first : first + w.shape[1] // n_s])
+            w = _child_sums(w, n_s) * f_q**2
+
+            b = p_s * sizes[s - 1] / math.sqrt(sizes[s]) * (v_x / math.sqrt(sizes[s - 1]))
+            f_x = f_q[:, parent]
+            # divide as build_cascade does, so G_s(x, x) rounds like the column
+            v_x = v_x / (math.sqrt(n_s) * denom[:, x // sizes[s]])
+            g_xx = g_xx - b * v_x
+            spans[s - 1] = 1.0
+            spans[:s] *= f_x
+            amps[:s] += b * spans[:s]
+            moments[s] = g_xx**2 + np.sum(amps[:s] ** 2 * shells[:s], axis=0)
+    return moments, sizes[r] * w[:, 0], ok
 
 
 def moment_ladder_sweep(
@@ -240,10 +277,10 @@ def moment_ladder_sweep(
     moments = np.empty((r_max + 1, energies.size))
     ok = np.empty(energies.size, dtype=bool)
     for lo in range(0, energies.size, chunk):
-        z = energies[lo : lo + chunk].astype(complex)
-        m, good = _sweep_chunk(t, seq, values, z, x, r_max, True, r_max)
-        moments[:, lo : lo + z.size] = m
-        ok[lo : lo + z.size] = good
+        e = energies[lo : lo + chunk]
+        moments[:, lo : lo + e.size], _, ok[lo : lo + e.size] = _sweep(
+            t, seq, values, e, x, r_max
+        )
     return moments, ok
 
 
@@ -259,7 +296,7 @@ def cluster_norm_sweep(
     """||(H_r - e)^{-1} 1_{Q_r(x)}||^2 over a grid of real energies.
 
     The indicator solve is sqrt(N_r) times the cascade's phi solve, so the
-    squared norm is N_r times the squared norm of the stored level vector.
+    squared norm is N_r times the squared norm of the rank-r level vector.
     """
     if not 0 <= r <= t.depth:
         raise ValueError(f"rank {r} out of range [0, {t.depth}]")
@@ -269,8 +306,8 @@ def cluster_norm_sweep(
     norm2 = np.empty(energies.size)
     ok = np.empty(energies.size, dtype=bool)
     for lo in range(0, energies.size, chunk):
-        z = energies[lo : lo + chunk].astype(complex)
-        n, good = _sweep_chunk(t, seq, values, z, x, r, False, r)
-        norm2[lo : lo + z.size] = n
-        ok[lo : lo + z.size] = good
+        e = energies[lo : lo + chunk]
+        _, norm2[lo : lo + e.size], ok[lo : lo + e.size] = _sweep(
+            t, seq, values, e, x, r
+        )
     return norm2, ok

@@ -189,6 +189,24 @@ def test_pole_only_grid_exits_3(tmp_path, capsys):
     assert err["error"] == "runtime"
 
 
+def test_bound_pole_only_grid_exits_3(tmp_path, capsys):
+    # Bernoulli {0, 1} disorder puts a level-0 pole at both grid points
+    cfg = base_config(
+        disorder={"kind": "bernoulli", "a": 0.0, "b": 1.0, "q": 0.5},
+        energy_grid={"min": 0.0, "max": 1.0, "points": 2},
+        rank=4,
+        realizations=2,
+        seed=7,
+    )
+    config = write_config(tmp_path, cfg)
+    assert main(["bound", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "runtime",
+        "detail": "every grid point is pole-proximate; nothing to report",
+    }
+
+
 def test_output_reproducible_from_manifest_alone(tmp_path):
     extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "realizations": 2}
     config = write_config(tmp_path, base_config(**extra))

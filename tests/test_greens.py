@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hieram import (
+    Bernoulli,
+    Cauchy,
+    Gaussian,
     GeometricCoupling,
     HierarchySpec,
     PoleProximityError,
@@ -249,3 +254,101 @@ def test_cluster_norm_sweep_matches_dense():
     for k, e in enumerate(energies):
         ref = np.linalg.solve(h - e * np.eye(t.site_count), ones)
         assert norm2[k] == pytest.approx(float(np.sum(ref**2)), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the real sweep kernel against the per-energy cascade and a
+# dense solve, over branching plans, sites, ranks and disorder kinds
+# ---------------------------------------------------------------------------
+
+DISORDERS = (
+    Uniform(0.0, 1.0),
+    Gaussian(0.0, 1.0),
+    Cauchy(0.0, 0.5),
+    Bernoulli(0.0, 1.0, 0.5),
+)
+
+
+def _spectra(t, seq, omega, r):
+    return [np.linalg.eigvalsh(hamiltonian(t, seq, omega, s).dense()) for s in range(r + 1)]
+
+
+@st.composite
+def sweep_cases(draw, dist):
+    factors = draw(
+        st.one_of(
+            st.sampled_from([[2, 3, 2, 3], [3, 2, 4], [2, 2, 2, 2, 2], [4, 3]]),
+            st.lists(st.integers(2, 4), min_size=1, max_size=4),
+        )
+    )
+    t = build_truncation(HierarchySpec.explicit(factors))
+    seq = GeometricCoupling(draw(st.floats(1.5, 8.0)))
+    omega = sample_potential(dist, t, draw(st.integers(0, 2**32)), draw(st.integers(0, 3)))
+    n = t.site_count
+    x = draw(st.one_of(st.sampled_from([n // 2, n - 1]), st.integers(0, n - 1)))
+    r = draw(st.integers(0, t.depth))
+    # free energies plus poles: the potential values are the level-0 poles,
+    # and every eigenvalue of H_0..H_r is a pole of some level up to r
+    spectra = _spectra(t, seq, omega, r)
+    poles = np.concatenate([omega.values, *spectra]).tolist()
+    free = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=6))
+    energies = np.array(free + draw(st.lists(st.sampled_from(poles), max_size=3)))
+    return t, seq, omega, x, r, energies, spectra
+
+
+def _cascade_or_none(t, seq, omega, e, r):
+    try:
+        return build_cascade(t, seq, omega, complex(e), r)
+    except PoleProximityError:
+        return None
+
+
+def _rtol(spectra, e, floor):
+    """Relative tolerance per rank s: floor, widened only near the spectrum.
+
+    The cascade reaches H_s through H_0..H_{s-1}, so any evaluation order
+    rounds S_s to about eps times the largest condition number
+    ||H_s' - e|| ||(H_s' - e)^{-1}|| (s' <= s) on the way; 1e-14 is about
+    90 eps.  It is infinite where e is an eigenvalue of some H_s'.
+    """
+    with np.errstate(divide="ignore"):
+        cond = [np.abs(w - e).max() / np.abs(w - e).min() for w in spectra]
+    return np.maximum(floor, 1e-14 * np.maximum.accumulate(cond))
+
+
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_sweeps_match_per_energy_cascade(dist, data):
+    t, seq, omega, x, r, energies, spectra = data.draw(sweep_cases(dist))
+    ladder, ok = moment_ladder_sweep(t, seq, omega, energies, r, x)
+    norm2, ok_norm = cluster_norm_sweep(t, seq, omega, energies, r, x)
+    assert np.array_equal(ok, ok_norm)
+    n_r = t.sizes[r]
+    lo = (x // n_r) * n_r
+    for k, e in enumerate(energies):
+        cascade = _cascade_or_none(t, seq, omega, e, r)
+        assert ok[k] == (cascade is not None)
+        if cascade is None:
+            continue
+        rtol = _rtol(spectra, e, 1e-12)
+        oracle = np.array(moment_ladder(t, seq, omega, e, range(r + 1), x))
+        assert np.all(np.abs(ladder[:, k] - oracle) <= rtol * oracle)
+        level = cascade.levels[r][lo : lo + n_r]
+        norm_oracle = n_r * float(np.sum(np.abs(level) ** 2))
+        assert abs(norm2[k] - norm_oracle) <= rtol[r] * norm_oracle
+
+
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_cluster_norm_sweep_matches_dense_solve(dist, data):
+    t, seq, omega, x, r, energies, spectra = data.draw(sweep_cases(dist))
+    norm2, ok = cluster_norm_sweep(t, seq, omega, energies, r, x)
+    h = hamiltonian(t, seq, omega, r).dense()
+    n_r = t.sizes[r]
+    ones = np.zeros(t.site_count)
+    ones[(x // n_r) * n_r : (x // n_r + 1) * n_r] = 1.0
+    for k, e in enumerate(energies):
+        if ok[k]:
+            ref = np.linalg.solve(h - e * np.eye(t.site_count), ones)
+            oracle = float(np.sum(ref**2))
+            assert abs(norm2[k] - oracle) <= _rtol(spectra, e, 1e-9)[r] * oracle
