@@ -4,15 +4,15 @@ One JSON config drives one run.  The seed is mandatory so every output is
 reproducible; a manifest echoing the fully resolved config is written next to
 the data files, and identical configs produce byte-identical data files.
 Floating-point cells are printed with 17 significant digits (round-trip
-exact).  All parallelism lives here - the library modules stay pure.
+exact).  A table is one numpy structured array, one field per column, and is
+formatted a chunk of rows at a time.  All parallelism lives here - the
+library modules stay pure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -138,15 +138,48 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def fmt(x) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+def columns(header: list[str], *values) -> np.ndarray:
+    """A table: a structured array with one field per header name.
+
+    Scalars broadcast against the columns; the dtype numpy infers for each
+    column (float, integer, bool or str) decides how the writer prints it.
+    """
+    arrays = np.broadcast_arrays(*values)
+    rows = np.empty(arrays[0].shape, [(h, a.dtype) for h, a in zip(header, arrays)])
+    for h, a in zip(header, arrays):
+        rows[h] = a
+    return rows
+
+
+CHUNK_ROWS = 20_000  # rows formatted per write
+# object columns hold Python ints beyond 64 bits; bools and strings come as str
+_CELL = {"f": "%.17g", "i": "%d", "u": "%d", "O": "%d", "b": "%s", "U": "%s"}
+
+
+def _csv_field(s: str, width: int) -> str:
+    """s as csv.writer (QUOTE_MINIMAL) writes it in a row of width fields.
+
+    Python versions differ on quoting a carriage return, so it is refused.
+    """
+    if "\r" in s:
+        raise ValueError(f"carriage return in CSV cell {s!r}")
+    if any(c in s for c in ',"\n') or (s == "" and width == 1):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _cells(column: np.ndarray, width: int) -> list:
+    """One column of a chunk as the Python values its _CELL format takes."""
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false").tolist()
+    if column.dtype.kind == "U":
+        distinct, inverse = np.unique(column, return_inverse=True)
+        quoted = [_csv_field(s, width) for s in distinct.tolist()]
+        return np.array(quoted, dtype=object)[inverse].tolist()
+    cells = column.tolist()
+    if column.dtype.kind == "O" and not all(type(c) is int for c in cells):
+        raise TypeError("an object column may only hold Python ints")
+    return cells
 
 
 class OutputWriter:
@@ -158,20 +191,28 @@ class OutputWriter:
         self.files: list[str] = []
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def table(self, name: str, header: list[str], rows) -> str:
-        if self.fmt_name == "csv":
-            fname = f"{name}.csv"
-            with open(self.out_dir / fname, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([fmt(cell) for cell in row])
-        else:
-            fname = f"{name}.json"
-            payload = [dict(zip(header, row)) for row in rows]
+    def table(self, name: str, header: list[str], rows: np.ndarray) -> str:
+        """Write a table built by columns(header, ...); returns the file name."""
+        kinds = [rows.dtype[h].kind for h in rows.dtype.names]
+        if list(rows.dtype.names) != list(header) or not set(kinds) <= _CELL.keys():
+            raise TypeError(f"table {name}: cannot write {rows.dtype} as {header}")
+        fname = f"{name}.{self.fmt_name}"
+        if self.fmt_name == "json":
+            payload = [dict(zip(header, row)) for row in rows.tolist()]
             with open(self.out_dir / fname, "w") as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
                 fh.write("\n")
+        else:
+            with open(self.out_dir / fname, "w", newline="") as fh:
+                width = len(header)
+                template = ",".join(_CELL[kind] for kind in kinds) + "\n"
+                fh.write(",".join(_csv_field(h, width) for h in header) + "\n")
+                for lo in range(0, len(rows), CHUNK_ROWS):
+                    chunk = rows[lo : lo + CHUNK_ROWS]
+                    flat = [None] * (len(chunk) * width)
+                    for j, h in enumerate(header):
+                        flat[j::width] = _cells(chunk[h], width)
+                    fh.write(template * len(chunk) % tuple(flat))
         self.files.append(fname)
         return fname
 
@@ -305,12 +346,11 @@ def run_spectrum(ctx, writer: OutputWriter) -> dict:
         exact = spectral.exact_cutoff_spectrum(t, seq, r)
         block = operators.cutoff_dense_block(t, seq, r, cap)
     dense_values = operators.dense_symmetric_eigensolve(block).eigenvalues
-    rows = [(loc, mult, "exact") for loc, mult in exact]
-    rows += [
-        (loc, mult, "dense")
-        for loc, mult in spectral.group_eigenvalues(dense_values, exact)
-    ]
-    writer.table("spectrum", ["location", "multiplicity", "source"], rows)
+    dense = spectral.group_eigenvalues(dense_values, exact)
+    locations, mults = zip(*exact, *dense)
+    source = np.repeat(["exact", "dense"], [len(exact), len(dense)])
+    header = ["location", "multiplicity", "source"]
+    writer.table("spectrum", header, columns(header, locations, mults, source))
     return {"rank": r, "include_tail": include_tail, "atoms": len(exact)}
 
 
@@ -321,9 +361,10 @@ def run_dos(ctx, writer: OutputWriter) -> dict:
     cap = cfg.get("dense_cap", operators.DENSE_CAP)
     nu = spectral.finite_volume_dos(t, seq, r, cap)
     mu = spectral.limiting_spectral_measure(t, seq, r_max)
-    rows = [(loc, w, "nu") for loc, w in nu.atoms]
-    rows += [(loc, w, "mu") for loc, w in mu.atoms]
-    writer.table("dos", ["location", "weight", "source"], rows)
+    locations, weights = zip(*nu.atoms, *mu.atoms)
+    source = np.repeat(["nu", "mu"], [len(nu.atoms), len(mu.atoms)])
+    header = ["location", "weight", "source"]
+    writer.table("dos", header, columns(header, locations, weights, source))
     return {"rank": r, "r_max": r_max, "nu_mass": nu.mass, "mu_mass": mu.mass}
 
 
@@ -342,8 +383,9 @@ def run_dimension(ctx, writer: OutputWriter) -> dict:
     fitted = spectral.fit_spectral_dimension(
         measure, seq.tail(r_hi) * (1 - 1e-12), seq.tail(r_lo) * (1 + 1e-12)
     )
-    rows = [("analytic", analytic), ("fitted", fitted)]
-    writer.table("dimension", ["quantity", "value"], rows)
+    header = ["quantity", "value"]
+    rows = columns(header, ["analytic", "fitted"], [analytic, fitted])
+    writer.table("dimension", header, rows)
     return {"analytic": analytic, "fitted": fitted, "fit_window": [r_lo, r_hi]}
 
 
@@ -351,10 +393,9 @@ def run_walk(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
     r_max = cfg.get("r_max", 60)
     report = spectral.walk_classification(t, seq, r_max)
-    rows = [
-        (r, report.terms[r], report.partial_sums[r]) for r in range(r_max + 1)
-    ]
-    writer.table("walk", ["r", "term", "partial_sum"], rows)
+    header = ["r", "term", "partial_sum"]
+    rows = columns(header, np.arange(r_max + 1), report.terms, report.partial_sums)
+    writer.table("walk", header, rows)
     return {
         "classification": report.classification,
         "value": report.value,
@@ -370,13 +411,17 @@ def run_hypothesis(ctx, writer: OutputWriter) -> dict:
     main = coupling.check_main_hypothesis(seq, t, u, r_max)
     molchanov = coupling.check_molchanov_condition(seq, u, r_max)
     bracket = coupling.fractional_moment_bounds(seq, t, s)
-    rows = []
-    for rep in (main, molchanov):
-        rows += [
-            (rep.condition, r, term, psum)
-            for r, term, psum in zip(rep.r_values, rep.terms, rep.partial_sums)
-        ]
-    writer.table("hypothesis", ["condition", "r", "term", "partial_sum"], rows)
+    reports = (main, molchanov)
+    conditions = [c for rep in reports for c in [rep.condition] * len(rep.terms)]
+    header = ["condition", "r", "term", "partial_sum"]
+    rows = columns(
+        header,
+        conditions,
+        np.concatenate([rep.r_values for rep in reports]),
+        np.concatenate([rep.terms for rep in reports]),
+        np.concatenate([rep.partial_sums for rep in reports]),
+    )
+    writer.table("hypothesis", header, rows)
     return {
         "u": u.describe(),
         "main_verdict": main.verdict,
@@ -401,19 +446,13 @@ def run_green(ctx, writer: OutputWriter) -> dict:
     cascade = greens.build_cascade(t, seq, omega, z, r)
     column, moment = greens.green_column(cascade, x, r)
     entry = greens.green_entry(cascade, x, y, r)
-    writer.table(
-        "green_column",
-        ["y", "re", "im"],
-        [(i, column[i].real, column[i].imag) for i in range(t.site_count)],
-    )
-    writer.table(
-        "green_terms",
-        ["s", "re", "im"],
-        [
-            (entry.first_level + k, term.real, term.imag)
-            for k, term in enumerate(entry.terms)
-        ],
-    )
+    header = ["y", "re", "im"]
+    rows = columns(header, np.arange(t.site_count), column.real, column.imag)
+    writer.table("green_column", header, rows)
+    terms = np.asarray(entry.terms, dtype=complex)
+    header = ["s", "re", "im"]
+    levels = entry.first_level + np.arange(terms.size)
+    writer.table("green_terms", header, columns(header, levels, terms.real, terms.imag))
     return {
         "z": [z.real, z.imag],
         "site": x,
@@ -428,92 +467,70 @@ def _save_potentials(ctx, writer: OutputWriter, realizations: int):
     """Optional audit trail: the sampled potential of every realization."""
     if not ctx["config"].get("save_potentials", False):
         return
-    t, cfg, dist = ctx["trunc"], ctx["config"], ctx["disorder"]
-    rows = []
-    for i in range(realizations):
-        omega = disorder.sample_potential(dist, t, cfg["seed"], i)
-        rows += [(i, x, omega.values[x]) for x in range(t.site_count)]
-    writer.table("potentials", ["index", "site", "value"], rows)
-
-
-def _moments_rows(seed, indices, energies, ranks, moments, ok):
-    """moments.csv rows; moments[i] is (ranks x energies), ok[i] flags energies."""
-    rows = []
-    for i in indices:
-        moments_i, ok_i = moments[i], ok[i]
-        for k, e in enumerate(energies):
-            skipped = not ok_i[k]
-            for j, r in enumerate(ranks):
-                value = math.nan if skipped else moments_i[j, k]
-                rows.append((seed, i, e, r, value, skipped))
-    return rows
-
-
-def run_moments(ctx, writer: OutputWriter) -> dict:
-    t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    dist = ctx["disorder"]
-    grid = resolve_grid(cfg, dist)
-    ranks = resolve_ranks(cfg, t.depth)
-    site = cfg.get("site", 0)
-    realizations = cfg.get("realizations", 1)
-    energies = np.linspace(grid[0], grid[1], grid[2])
-    indices = range(realizations)
-    ladders, ok = zip(
-        *ctx["map_fn"](
-            lambda i: diagnostics.sweep_realization(
-                t, seq, dist, cfg["seed"], i, energies, ranks, site
-            ),
-            indices,
-        )
+    t, seed, dist = ctx["trunc"], ctx["config"]["seed"], ctx["disorder"]
+    n = t.site_count
+    omegas = [disorder.sample_potential(dist, t, seed, i) for i in range(realizations)]
+    header = ["index", "site", "value"]
+    rows = columns(
+        header,
+        np.repeat(np.arange(realizations), n),
+        np.tile(np.arange(n), realizations),
+        np.concatenate([omega.values for omega in omegas]),
     )
-    if not any(good.any() for good in ok):
-        raise RuntimeError("every grid point is pole-proximate; nothing to report")
-    rows = _moments_rows(cfg["seed"], indices, energies, ranks, ladders, ok)
-    writer.table("moments", ["seed", "index", "e", "r", "S_r", "skipped"], rows)
-    _save_potentials(ctx, writer, realizations)
-    skipped = int(sum((~good).sum() for good in ok))
-    return {"grid": list(grid), "ranks": ranks, "skipped_cells": skipped}
+    writer.table("potentials", header, rows)
 
 
-def run_localize(ctx, writer: OutputWriter) -> dict:
-    t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    dist = ctx["disorder"]
-    grid = resolve_grid(cfg, dist)
+def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
+    """Sweep the moment ladders (and IPRs) and write moments.csv, one row per
+    (index, energy, rank) in that order; a skipped energy's cells read NaN."""
+    t, cfg = ctx["trunc"], ctx["config"]
+    grid = resolve_grid(cfg, ctx["disorder"])
     ranks = resolve_ranks(cfg, t.depth)
-    site = cfg.get("site", 0)
-    realizations = cfg.get("realizations", 1)
-    cap = cfg.get("dense_cap", operators.DENSE_CAP)
     report = diagnostics.localization_sweep(
         t,
-        seq,
-        dist,
+        ctx["coupling"],
+        ctx["disorder"],
         cfg["seed"],
-        realizations,
+        cfg.get("realizations", 1),
         grid,
         ranks,
-        site,
-        ipr_ranks=(ranks[-1],),
-        cap=cap,
+        cfg.get("site", 0),
+        ipr_ranks=(ranks[-1],) if ipr else (),
+        cap=cfg.get("dense_cap", operators.DENSE_CAP),
         map_fn=ctx["map_fn"],
     )
     if not report.ok.any():
         raise RuntimeError("every grid point is pole-proximate; nothing to report")
-    rows = _moments_rows(
+    n_i, n_r, n_e = report.moments.shape
+    skipped = np.repeat(~report.ok, n_r, axis=1).ravel()
+    header = ["seed", "index", "e", "r", "S_r", "skipped"]
+    rows = columns(
+        header,
         report.seed,
-        report.realization_indices,
-        report.energies,
-        report.ranks,
-        report.moments,
-        report.ok,
+        np.repeat(report.realization_indices, n_e * n_r),
+        np.tile(np.repeat(report.energies, n_r), n_i),
+        np.tile(report.ranks, n_i * n_e),
+        np.where(skipped, np.nan, report.moments.transpose(0, 2, 1).ravel()),
+        skipped,
     )
-    writer.table("moments", ["seed", "index", "e", "r", "S_r", "skipped"], rows)
-    ipr_rows = []
+    writer.table("moments", header, rows)
+    return report, grid
+
+
+def run_moments(ctx, writer: OutputWriter) -> dict:
+    report, grid = _sweep_moments(ctx, writer, ipr=False)
+    _save_potentials(ctx, writer, len(report.realization_indices))
+    skipped = int((~report.ok).sum())
+    return {"grid": list(grid), "ranks": list(report.ranks), "skipped_cells": skipped}
+
+
+def run_localize(ctx, writer: OutputWriter) -> dict:
+    report, grid = _sweep_moments(ctx, writer, ipr=True)
     top = report.ipr_ranks[0]
-    for i in report.realization_indices:
-        for ev, ipr in zip(report.ipr_eigenvalues[top][i], report.ipr_values[top][i]):
-            ipr_rows.append((top, ev, ipr))
-    writer.table("ipr", ["r", "eigenvalue", "ipr"], ipr_rows)
-    _save_potentials(ctx, writer, realizations)
+    eigenvalues, iprs = report.ipr_eigenvalues[top], report.ipr_values[top]
+    header = ["r", "eigenvalue", "ipr"]
+    writer.table("ipr", header, columns(header, top, eigenvalues.ravel(), iprs.ravel()))
+    _save_potentials(ctx, writer, len(report.realization_indices))
     return {
         "grid": list(grid),
         "ranks": list(report.ranks),
@@ -521,7 +538,7 @@ def run_localize(ctx, writer: OutputWriter) -> dict:
         "mid_ipr_median": report.mid_ipr_median[top],
         "mid_ipr_quartiles": list(report.mid_ipr_quartiles[top]),
         "ipr_rank": top,
-        "delocalized_floor": 1.0 / t.sizes[top],
+        "delocalized_floor": 1.0 / ctx["trunc"].sizes[top],
         "skipped_cells": int((~report.ok).sum()),
         "simon_wolff_applicable": report.simon_wolff_applicable,
     }
@@ -544,11 +561,16 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
     reports = list(ctx["map_fn"](one, range(realizations)))
     if all(rep.skipped == grid[2] for rep in reports):
         raise RuntimeError("every grid point is pole-proximate; nothing to report")
-    rows = [
-        (rep.rank, rep.threshold, rep.empirical_measure, rep.bound, rep.passed)
-        for rep in reports
-    ]
-    writer.table("bound", ["r", "M", "empirical", "bound", "pass"], rows)
+    header = ["r", "M", "empirical", "bound", "pass"]
+    rows = columns(
+        header,
+        [rep.rank for rep in reports],
+        [rep.threshold for rep in reports],
+        [rep.empirical_measure for rep in reports],
+        [rep.bound for rep in reports],
+        [rep.passed for rep in reports],
+    )
+    writer.table("bound", header, rows)
     _save_potentials(ctx, writer, realizations)
     return {
         "grid": list(grid),

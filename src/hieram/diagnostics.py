@@ -141,7 +141,8 @@ def ipr_profile(
     block = operators.cutoff_dense_block(t, seq, r, cap)
     block[np.diag_indices(n_r)] += omega.values[:n_r]
     spectrum = operators.dense_symmetric_eigensolve(block)
-    iprs = np.sum(spectrum.eigenvectors**4, axis=0)
+    # two squarings: numpy has no fast path for the exponent 4
+    iprs = np.sum(np.square(np.square(spectrum.eigenvectors)), axis=0)
     return list(zip(spectrum.eigenvalues.tolist(), iprs.tolist()))
 
 
@@ -169,24 +170,6 @@ class LocalizationReport:
         default_factory=dict
     )
     simon_wolff_applicable: bool = True
-
-
-def sweep_realization(
-    t: Truncation,
-    seq: CouplingSequence,
-    dist: DistributionSpec,
-    seed: int,
-    index: int,
-    energies: np.ndarray,
-    ranks,
-    site: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment ladder of one disorder realization over the energy grid."""
-    omega = sample_potential(dist, t, seed, index)
-    ladder, ok = greens.moment_ladder_sweep(
-        t, seq, omega, energies, max(ranks), site
-    )
-    return ladder[list(ranks), :], ok
 
 
 def localization_sweep(
@@ -217,14 +200,12 @@ def localization_sweep(
     energies = np.linspace(e_min, e_max, points)
     indices = tuple(range(realizations))
 
-    ladders = list(
-        map_fn(
-            lambda i: sweep_realization(t, seq, dist, seed, i, energies, ranks, site),
-            indices,
-        )
-    )
-    moments = np.stack([lad for lad, _ in ladders])
-    ok = np.stack([good for _, good in ladders])
+    def ladder(i):
+        omega = sample_potential(dist, t, seed, i)
+        full, ok = greens.moment_ladder_sweep(t, seq, omega, energies, max(ranks), site)
+        return full[list(ranks), :], ok
+
+    moments, ok = (np.stack(parts) for parts in zip(*map_fn(ladder, indices)))
 
     ratio_medians = np.empty(len(ranks) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -246,16 +227,10 @@ def localization_sweep(
     )
 
     for r in ipr_ranks:
-        pairs = list(
-            map_fn(
-                lambda i: ipr_profile(
-                    t, seq, sample_potential(dist, t, seed, i), r, cap
-                ),
-                indices,
-            )
-        )
-        eigs = np.array([[e for e, _ in p] for p in pairs])
-        iprs = np.array([[v for _, v in p] for p in pairs])
+        def profile(i, r=r):
+            return ipr_profile(t, seq, sample_potential(dist, t, seed, i), r, cap)
+
+        eigs, iprs = np.moveaxis(np.array(list(map_fn(profile, indices))), -1, 0)
         report.ipr_eigenvalues[r] = eigs
         report.ipr_values[r] = iprs
         n_r = t.sizes[r]

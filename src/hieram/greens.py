@@ -69,6 +69,15 @@ class GreenCascade:
         return self.levels[s][x] / math.sqrt(self.trunc.sizes[s])
 
 
+def _child_sums(a, n):
+    """Sums over each run of n consecutive entries of the last axis, the
+    children of a cluster, in child order (build_cascade and _sweep alike)."""
+    total = a[..., 0::n]
+    for j in range(1, n):
+        total = total + a[..., j::n]
+    return total
+
+
 def build_cascade(
     t: Truncation,
     seq: CouplingSequence,
@@ -93,7 +102,7 @@ def build_cascade(
     for s in range(1, r + 1):
         p_s = seq.p(s)
         n_s = t.factor(s)
-        beta = alphas[-1].reshape(-1, n_s).mean(axis=1)
+        beta = _child_sums(alphas[-1], n_s) / n_s
         denom = 1.0 + p_s * beta
         if np.abs(denom).min() < POLE_TOL:
             raise PoleProximityError(s, z)
@@ -177,14 +186,6 @@ def moment_ladder(
 # ---------------------------------------------------------------------------
 # vectorized sweeps over energy grids (shared by the diagnostics module)
 # ---------------------------------------------------------------------------
-
-
-def _child_sums(a, n):
-    """Sums over each run of n consecutive columns, the children of a cluster."""
-    total = a[:, 0::n]
-    for j in range(1, n):
-        total = total + a[:, j::n]
-    return total
 
 
 def _sweep(t, seq, values, energies, x, r):

@@ -1,9 +1,21 @@
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hieram.cli import main
+from hieram import (
+    Bernoulli,
+    GeometricCoupling,
+    HierarchySpec,
+    build_truncation,
+    cli,
+    localization_sweep,
+)
+from hieram.cli import OutputWriter, columns, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -337,3 +349,141 @@ def test_unresolved_atoms_exit_3(tmp_path, capsys, subcommand):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "eigenvalue-grouping"
     assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the column-wise table writer against the per-cell csv.writer path it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_cell(x):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x)).lower()
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _reference_jsonable(x):
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, np.floating):
+        return float(x)
+    raise TypeError(f"cannot serialize {type(x)}")
+
+
+def _reference(fmt_name, header, rows):
+    buf = io.StringIO()
+    if fmt_name == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_reference_cell(cell) for cell in row])
+    else:
+        payload = [dict(zip(header, row)) for row in rows]
+        json.dump(payload, buf, indent=1, sort_keys=True, default=_reference_jsonable)
+        buf.write("\n")
+    return buf.getvalue().encode()
+
+
+def _written(tmp_path, fmt_name, header, rows):
+    writer = OutputWriter(tmp_path / fmt_name, fmt_name)
+    fname = writer.table("t", header, rows)
+    assert fname == f"t.{fmt_name}"
+    return (tmp_path / fmt_name / fname).read_bytes()
+
+
+WRITER_COLUMNS = {
+    "x": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 0.1, 1 / 3,
+          np.float64(-2.5e-8), 1e16 + 2, np.float64(123456789.125)],
+    "n": [0, -1, 7, np.int64(2**62), np.int32(-5), 10**15, 3, 4, 5, 6, 12, 2**63 - 1],
+    "ok": [True, False, np.True_, np.False_] * 3,
+    "tag": ["exact", "a,b", 'say "hi"', "two\nlines", "", "lf\n\nx", " pad ", "x'y",
+            "\u00fc", "%d %s", "tab\t", '"'],
+    "seed": [2**64 - 1] * 12,
+    "big": [2**70, -(2**80)] * 6,
+}
+
+
+@pytest.mark.parametrize("chunk", [5, cli.CHUNK_ROWS])
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_table_writer_matches_per_cell_csv_writer(
+    tmp_path, monkeypatch, chunk, fmt_name
+):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    header = list(WRITER_COLUMNS)
+    values = list(WRITER_COLUMNS.values())
+    rows = list(zip(*values))
+    if fmt_name == "json":
+        # the old JSON path never saw a numpy bool, which it could not serialize
+        plain = [bool(c) for c in WRITER_COLUMNS["ok"]]
+        rows = [row[:2] + (flag,) + row[3:] for row, flag in zip(rows, plain)]
+    table = columns(header, *values)
+    assert len(table) == len(rows)
+    expected = _reference(fmt_name, header, rows)
+    assert _written(tmp_path, fmt_name, header, table) == expected
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_table_writer_empty_and_single_column_tables(tmp_path, fmt_name):
+    header = ["r", "value", "source"]
+    empty = columns(header, [], [], [])
+    assert len(empty) == 0
+    expected = _reference(fmt_name, header, [])
+    assert _written(tmp_path / "a", fmt_name, header, empty) == expected
+    # csv quotes the empty field of a one-field row so the row is not blank
+    header = ["label"]
+    labels = ["", "x", "a,b", ""]
+    got = _written(tmp_path / "b", fmt_name, header, columns(header, labels))
+    assert got == _reference(fmt_name, header, [(label,) for label in labels])
+
+
+def test_table_writer_round_trips_through_csv_reader(tmp_path):
+    header = list(WRITER_COLUMNS)
+    got = _written(tmp_path, "csv", header, columns(header, *WRITER_COLUMNS.values()))
+    parsed = list(csv.reader(io.StringIO(got.decode(), newline="")))
+    assert parsed[0] == header
+    assert [row[3] for row in parsed[1:]] == WRITER_COLUMNS["tag"]
+
+
+def test_table_writer_refuses_what_it_cannot_print(tmp_path):
+    writer = OutputWriter(tmp_path, "csv")
+    with pytest.raises(TypeError):
+        writer.table("t", ["a", "b"], columns(["b", "a"], [1.0], [2.0]))
+    with pytest.raises(TypeError):
+        writer.table("t", ["z"], columns(["z"], [1 + 2j]))
+    with pytest.raises(TypeError):
+        writer.table("t", ["o"], columns(["o"], np.array([1.5, "x"], dtype=object)))
+    # csv.writer quotes a carriage return on some Python versions and not others
+    with pytest.raises(ValueError):
+        writer.table("t", ["s"], columns(["s"], ["ok", "cr\rx"]))
+
+
+@pytest.mark.parametrize("subcommand", ["moments", "localize"])
+def test_moments_table_matches_row_loop(tmp_path, subcommand):
+    # Bernoulli {0, 1} puts level-0 poles at e = 0 and e = 1, so some cells skip
+    extra = {
+        "disorder": {"kind": "bernoulli", "a": 0.0, "b": 1.0, "q": 0.5},
+        "energy_grid": {"min": -0.5, "max": 1.5, "points": 9},
+        "ranks": [0, 2, 4],
+        "realizations": 3,
+    }
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 0
+    t = build_truncation(HierarchySpec.homogeneous(2, 4))
+    dist = Bernoulli(0.0, 1.0, 0.5)
+    seq = GeometricCoupling(4.0)
+    report = localization_sweep(t, seq, dist, 12345, 3, (-0.5, 1.5, 9), [0, 2, 4])
+    assert not report.ok.all()
+    rows = []
+    for i in report.realization_indices:
+        for k, e in enumerate(report.energies):
+            skipped = not report.ok[i, k]
+            for j, r in enumerate(report.ranks):
+                value = math.nan if skipped else report.moments[i, j, k]
+                rows.append((12345, i, e, r, value, skipped))
+    header = ["seed", "index", "e", "r", "S_r", "skipped"]
+    assert (out / "moments.csv").read_bytes() == _reference("csv", header, rows)

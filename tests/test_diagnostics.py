@@ -146,6 +146,20 @@ def test_ipr_profile_matches_dense_hamiltonian():
     )
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_ipr_profile_squares_twice(index):
+    # sum((v^2)^2) rounds differently from sum(v**4) but only in the last digit
+    t = _t(8)
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(Uniform(0.0, 1.0), t, 301, index)
+    iprs = np.array([v for _, v in ipr_profile(t, seq, omega, t.depth)])
+    dense = hamiltonian(t, seq, omega, t.depth).dense()
+    vectors = dense_symmetric_eigensolve(dense).eigenvectors
+    assert np.allclose(iprs, np.sum(vectors**4, axis=0), rtol=1e-15, atol=0.0)
+    oracle = np.linalg.eigh(dense).eigenvectors
+    assert np.allclose(iprs, np.sum(oracle**4, axis=0), rtol=0.0, atol=1e-8)
+
+
 def test_localization_sweep_shapes_and_determinism():
     t = _t(5)
     seq = GeometricCoupling(4.0)

@@ -352,3 +352,46 @@ def test_cluster_norm_sweep_matches_dense_solve(dist, data):
             ref = np.linalg.solve(h - e * np.eye(t.site_count), ones)
             oracle = float(np.sum(ref**2))
             assert abs(norm2[k] - oracle) <= _rtol(spectra, e, 1e-9)[r] * oracle
+
+
+# ---------------------------------------------------------------------------
+# build_cascade and the sweep average children in the same order
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("factors", [[3, 2, 4], [4, 3], [2, 8]])
+def test_cascade_sums_children_in_order(factors):
+    # beta_s(Q) = (((a_1 + a_2) + a_3) + ...) / n_s over the children of Q, the
+    # order the sweep uses; numpy's mean sums pairwise and differs at n >= 4
+    t = build_truncation(HierarchySpec.explicit(factors))
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(Gaussian(0.0, 1.0), t, 5, 0)
+    for z in (0.3 + 0.01j, 0.7, -1.2 + 2j):
+        c = build_cascade(t, seq, omega, z)
+        for s in range(1, t.depth + 1):
+            n_s = t.factor(s)
+            children = c.alphas[s - 1].reshape(-1, n_s)
+            beta = children[:, 0]
+            for j in range(1, n_s):
+                beta = beta + children[:, j]
+            beta = beta / n_s
+            assert np.array_equal(c.alphas[s], beta / (1.0 + seq.p(s) * beta))
+
+
+@pytest.mark.parametrize("factors", [[3, 2, 4], [4, 3]])
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist):
+    t = build_truncation(HierarchySpec.explicit(factors))
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(dist, t, 11, 0)
+    spectra = _spectra(t, seq, omega, t.depth)
+    # a free grid plus every level-0..R pole, each exactly and one ulp off
+    poles = np.concatenate([omega.values, *spectra])
+    energies = np.concatenate(
+        [np.linspace(-2.0, 3.0, 101), poles, np.nextafter(poles, np.inf)]
+    )
+    for r in range(t.depth + 1):
+        _, ok = moment_ladder_sweep(t, seq, omega, energies, r)
+        raised = [_cascade_or_none(t, seq, omega, e, r) is None for e in energies]
+        assert ok.tolist() == [not flag for flag in raised]
+        assert not ok.all()
