@@ -254,16 +254,19 @@ def _jsonable(x):
 
 
 def load_config(path: str) -> dict:
+    """Read a config file; main validates it once the overrides are in."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def validate_config(config):
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
-    return config
 
 
 def resolve_hierarchy(cfg: dict) -> HierarchySpec:
@@ -370,14 +373,14 @@ def run_dos(ctx, writer: OutputWriter) -> dict:
 
 def run_dimension(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    if t.spec.degree is None or not isinstance(seq, coupling.GeometricCoupling):
+    if t.degree is None or not isinstance(seq, coupling.GeometricCoupling):
         raise ConfigError(
             "dimension needs a homogeneous hierarchy and a geometric coupling"
         )
     r_lo, r_hi = cfg.get("fit_window", [5, 20])
     if not 0 <= r_lo < r_hi:
         raise ConfigError(f"fit_window must be increasing, got [{r_lo}, {r_hi}]")
-    analytic = spectral.spectral_dimension(seq, t.spec.degree)
+    analytic = spectral.spectral_dimension(seq, t.degree)
     measure = spectral.limiting_spectral_measure(t, seq, r_hi + 5)
     # nudge the window so the boundary atoms stay inside despite rounding
     fitted = spectral.fit_spectral_dimension(
@@ -619,12 +622,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.format is not None:
-            config["format"] = args.format
-        if args.out is not None:
-            config["output_dir"] = args.out
+        overrides = {"seed": args.seed, "format": args.format, "output_dir": args.out}
+        if isinstance(config, dict):
+            config.update((k, v) for k, v in overrides.items() if v is not None)
+        validate_config(config)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out_dir = Path(config.get("output_dir", "hieram-out"))
         fmt_name = config.get("format", "csv")
         threads = args.threads or config.get("threads") or os.cpu_count() or 1

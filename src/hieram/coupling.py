@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import HierarchySpec, Truncation, spec_of
+from .hierarchy import HierarchySpec, Truncation
 
 EXPLICIT_MASS_TOL = 1e-12
 
@@ -46,10 +46,13 @@ class PowerSequence:
 
 
 class CouplingSequence:
-    """Positive weights p_r (r >= 1, p_0 = 0) with total mass 1."""
+    """Positive weights p_r (r >= 1, p_0 = 0) with total mass 1.
 
-    family = "abstract"
-    analytic = False
+    ``decay`` is (a, q) when p_r = C r^q a^{-r} for every r >= 1 with q <= 0,
+    the closed form the checkers compare against, and None otherwise.
+    """
+
+    decay: tuple[float, float] | None = None
 
     def p(self, r: int) -> float:
         raise NotImplementedError
@@ -71,32 +74,30 @@ class CouplingSequence:
 
     def weighted_tail(self, r: int, geometry: HierarchySpec | Truncation) -> float:
         """sum_{s>r} p_s / N_s, the uniform kernel left by compression."""
-        raise NotImplementedError
-
-    def _sum_weighted_tail(self, r, spec: HierarchySpec, ratio_bound: float) -> float:
-        # terms p_s / N_s shrink at least by ratio_bound per level
+        if self.decay is None:
+            raise NotImplementedError("weighted_tail needs a decay law")
+        # terms p_s / N_s shrink at least by 1/(2a) per level, as q <= 0
+        ratio_bound = 1.0 / (2.0 * self.decay[0])
         total = 0.0
         s = r + 1
-        n_s = float(spec.size(s))
+        n_s = float(geometry.size(s))
         while True:
             term = self.p(s) / n_s
             total += term
             if term * ratio_bound / (1.0 - ratio_bound) <= 1e-17 * total:
                 return total
             s += 1
-            n_s *= spec.factor(s)
+            n_s *= geometry.factor(s)
 
 
 class GeometricCoupling(CouplingSequence):
     """p_r = (rho - 1) rho^{-r}; lambda_r = 1 - rho^{-r} in closed form."""
 
-    family = "geometric"
-    analytic = True
-
     def __init__(self, rho: float):
         if not rho > 1:
             raise ValueError(f"rho must exceed 1, got {rho}")
         self.rho = float(rho)
+        self.decay = (self.rho, 0.0)
 
     def p(self, r: int) -> float:
         if r < 0:
@@ -113,16 +114,9 @@ class GeometricCoupling(CouplingSequence):
     def log_tail(self, r: int) -> float:
         return -r * math.log(self.rho)
 
-    def weighted_tail(self, r: int, geometry) -> float:
-        spec = spec_of(geometry)
-        return self._sum_weighted_tail(r, spec, 1.0 / (2.0 * self.rho))
-
 
 class PolyGeometricCoupling(CouplingSequence):
     """p_r = C r^{-3-eps} n^{-r} with C normalizing the total mass to 1."""
-
-    family = "polygeometric"
-    analytic = True
 
     def __init__(self, n: int, epsilon: float):
         if n < 2:
@@ -131,6 +125,7 @@ class PolyGeometricCoupling(CouplingSequence):
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.n = int(n)
         self.epsilon = float(epsilon)
+        self.decay = (self.n, -3.0 - self.epsilon)
         self.normalizer = 1.0 / self._raw_sum()
 
     def _raw_term(self, r: int) -> float:
@@ -179,16 +174,9 @@ class PolyGeometricCoupling(CouplingSequence):
             - math.log1p(-q)
         )
 
-    def weighted_tail(self, r: int, geometry) -> float:
-        spec = spec_of(geometry)
-        return self._sum_weighted_tail(r, spec, 1.0 / (2.0 * self.n))
-
 
 class ExplicitCoupling(CouplingSequence):
     """Weights p_1..p_L given directly, plus a declared tail mass beyond L."""
-
-    family = "explicit"
-    analytic = False
 
     def __init__(self, weights, tail_mass: float = 0.0):
         w = np.asarray(weights, dtype=float)
@@ -228,12 +216,11 @@ class ExplicitCoupling(CouplingSequence):
 
     def weighted_tail(self, r: int, geometry) -> float:
         # the declared tail is carried at the first rank past the list
-        spec = spec_of(geometry)
         total = 0.0
         for s in range(r + 1, self.length + 1):
-            total += self.p(s) / spec.size(s)
+            total += self.p(s) / geometry.size(s)
         if self.tail_mass > 0.0:
-            total += self.tail_mass / spec.size(max(r, self.length) + 1)
+            total += self.tail_mass / geometry.size(max(r, self.length) + 1)
         return total
 
 
@@ -270,10 +257,14 @@ class HypothesisReport:
 
 
 def _analytic_verdict(ratio: float, poly_exponent: float) -> str:
-    """Verdict for terms ~ A * ratio^r * r^poly_exponent."""
+    """Verdict for terms ~ A * ratio^r * r^poly_exponent.
+
+    An exponent within 1e-12 of -1 is taken as -1 (harmonic, divergent): it
+    is how a decimal boundary such as 2u - 3 - eps = -1 rounds.
+    """
     if ratio < 1.0:
         return CONVERGES_ANALYTIC
-    if ratio > 1.0 or poly_exponent >= -1.0:
+    if ratio > 1.0 or poly_exponent >= -1.0 - 1e-12:
         return DIVERGES_ANALYTIC
     return CONVERGES_ANALYTIC
 
@@ -314,20 +305,15 @@ def check_main_hypothesis(
     """Evaluate sum_r p_r N_{r-1} u_{r-1} u_r, the localization hypothesis."""
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
-    spec = spec_of(t)
     terms = []
     n_prev = 1.0
     for r in range(1, r_max + 1):
         terms.append(seq.p(r) * n_prev * u(r - 1) * u(r))
-        n_prev *= spec.factor(r)
+        n_prev *= t.factor(r)
     verdict = None
-    if spec.degree is not None:
-        if isinstance(seq, GeometricCoupling):
-            verdict = _analytic_verdict(spec.degree / seq.rho, 2.0 * u.exponent)
-        elif isinstance(seq, PolyGeometricCoupling):
-            verdict = _analytic_verdict(
-                spec.degree / seq.n, 2.0 * u.exponent - 3.0 - seq.epsilon
-            )
+    if t.degree is not None and seq.decay is not None:
+        a, q = seq.decay
+        verdict = _analytic_verdict(t.degree / a, 2.0 * u.exponent + q)
     return _series_report("main", u, terms, verdict)
 
 
@@ -341,12 +327,9 @@ def check_molchanov_condition(
         raise ValueError(f"r_max must be >= 2, got {r_max}")
     terms = [seq.p(r) * u(r) for r in range(1, r_max + 1)]
     verdict = None
-    if isinstance(seq, GeometricCoupling):
-        verdict = _analytic_verdict(1.0 / seq.rho, u.exponent)
-    elif isinstance(seq, PolyGeometricCoupling):
-        verdict = _analytic_verdict(
-            1.0 / seq.n, u.exponent - 3.0 - seq.epsilon
-        )
+    if seq.decay is not None:
+        a, q = seq.decay
+        verdict = _analytic_verdict(1.0 / a, u.exponent + q)
     return _series_report("molchanov", u, terms, verdict)
 
 
@@ -397,25 +380,20 @@ def fractional_moment_bounds(
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    spec = spec_of(t)
     lower_terms, upper_terms = [], []
     n_r = 1.0
     for r in range(1, r_max + 1):
-        n_r *= spec.factor(r)
+        n_r *= t.factor(r)
         lower_terms.append(seq.p(r) * n_r ** (1.0 - s))
         upper_terms.append(seq.p(r) ** s * n_r ** (1.0 - s))
     low_ratio = up_ratio = math.nan
     low_q = up_q = 0.0
-    if spec.degree is not None:
-        n = spec.degree
-        if isinstance(seq, GeometricCoupling):
-            low_ratio = n ** (1.0 - s) / seq.rho
-            up_ratio = n ** (1.0 - s) / seq.rho**s
-        elif isinstance(seq, PolyGeometricCoupling):
-            low_ratio = n ** (1.0 - s) / seq.n
-            up_ratio = n ** (1.0 - s) / seq.n**s
-            low_q = -3.0 - seq.epsilon
-            up_q = -s * (3.0 + seq.epsilon)
+    if t.degree is not None and seq.decay is not None:
+        # p_r N_r^{1-s} and p_r^s N_r^{1-s} ~ r^q and r^{sq} times a ratio^r
+        a, q = seq.decay
+        low_ratio = t.degree ** (1.0 - s) / a
+        up_ratio = t.degree ** (1.0 - s) / a**s
+        low_q, up_q = q, s * q
     return FractionalMomentBounds(
         s=s,
         lower=_bracket_series(lower_terms, low_ratio, low_q),

@@ -88,8 +88,7 @@ def build_cascade(
     """Run the per-cluster rank-one recursion up to level r (default: depth)."""
     if r is None:
         r = t.depth
-    if not 0 <= r <= t.depth:
-        raise ValueError(f"rank {r} out of range [0, {t.depth}]")
+    t.check_rank(r)
     values = potential_values(t, omega)
     z = complex(z)
 
@@ -149,7 +148,7 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
     t = c.trunc
     if not 0 <= r <= c.depth:
         raise ValueError(f"rank {r} exceeds cascade depth {c.depth}")
-    t._check_site(x)
+    t.check_site(x)
     col = np.zeros(t.site_count, dtype=complex)
     col[x] = 1.0 / (c.omega[x] - c.z)
     for s in range(1, r + 1):
@@ -270,9 +269,8 @@ def moment_ladder_sweep(
     points within pole tolerance of the finite-volume spectrum are flagged
     False in ok and their moments are not meaningful.
     """
-    if not 0 <= r_max <= t.depth:
-        raise ValueError(f"rank {r_max} out of range [0, {t.depth}]")
-    t._check_site(x)
+    t.check_rank(r_max)
+    t.check_site(x)
     values = potential_values(t, omega)
     energies = np.asarray(energies, dtype=float)
     moments = np.empty((r_max + 1, energies.size))
@@ -299,9 +297,8 @@ def cluster_norm_sweep(
     The indicator solve is sqrt(N_r) times the cascade's phi solve, so the
     squared norm is N_r times the squared norm of the rank-r level vector.
     """
-    if not 0 <= r <= t.depth:
-        raise ValueError(f"rank {r} out of range [0, {t.depth}]")
-    t._check_site(x)
+    t.check_rank(r)
+    t.check_site(x)
     values = potential_values(t, omega)
     energies = np.asarray(energies, dtype=float)
     norm2 = np.empty(energies.size)

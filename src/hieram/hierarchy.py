@@ -91,8 +91,10 @@ class ClusterId:
 class Truncation:
     """A depth-R hierarchical lattice on sites 0..N_R-1.
 
-    Immutable after construction; every query is pure and safe to call from
-    any number of concurrent workers.
+    Answers ``factor``, ``size`` and ``degree`` like its HierarchySpec, so
+    either one serves where only the branching plan is read.  Immutable after
+    construction; every query is pure and safe to call from any number of
+    concurrent workers.
     """
 
     def __init__(self, spec: HierarchySpec):
@@ -105,6 +107,7 @@ class Truncation:
                 )
         self.spec = spec
         self.depth = spec.depth
+        self.degree = spec.degree
         self.sizes = tuple(sizes)
         self.site_count = sizes[-1]
 
@@ -118,18 +121,18 @@ class Truncation:
         return self.spec.size(r)
 
     def num_clusters(self, r: int) -> int:
-        self._check_rank(r)
+        self.check_rank(r)
         return self.site_count // self.sizes[r]
 
     def cluster_of(self, x: int, r: int) -> ClusterId:
         """The unique rank-r cluster Q_r(x) containing site x."""
-        self._check_site(x)
-        self._check_rank(r)
+        self.check_site(x)
+        self.check_rank(r)
         return ClusterId(r, x // self.sizes[r])
 
     def cluster_members(self, c: ClusterId) -> range:
         """Sites of a cluster as a contiguous range of length N_r."""
-        self._check_rank(c.rank)
+        self.check_rank(c.rank)
         n_r = self.sizes[c.rank]
         if not 0 <= c.index < self.site_count // n_r:
             raise ValueError(
@@ -139,25 +142,20 @@ class Truncation:
 
     def distance(self, x: int, y: int) -> int:
         """Hierarchical distance: the smallest rank r with y in Q_r(x)."""
-        self._check_site(x)
-        self._check_site(y)
+        self.check_site(x)
+        self.check_site(y)
         for r in range(self.depth + 1):
             if x // self.sizes[r] == y // self.sizes[r]:
                 return r
         raise AssertionError("unreachable: Q_R is the whole lattice")
 
-    def _check_site(self, x: int):
+    def check_site(self, x: int):
         if not 0 <= x < self.site_count:
             raise ValueError(f"site {x} out of range [0, {self.site_count})")
 
-    def _check_rank(self, r: int):
+    def check_rank(self, r: int):
         if not 0 <= r <= self.depth:
             raise ValueError(f"rank {r} out of range [0, {self.depth}]")
-
-
-def spec_of(geometry: HierarchySpec | Truncation) -> HierarchySpec:
-    """The branching plan of a plan or of a truncation."""
-    return geometry.spec if isinstance(geometry, Truncation) else geometry
 
 
 def build_truncation(spec: HierarchySpec) -> Truncation:

@@ -48,11 +48,6 @@ def _check_cap(n: int, cap: int):
         raise DenseCapError(f"dense size {n} exceeds cap {cap}")
 
 
-def _check_rank(t: Truncation, r: int):
-    if not 0 <= r <= t.depth:
-        raise ValueError(f"rank {r} out of range [0, {t.depth}]")
-
-
 def potential_values(t: Truncation, omega) -> np.ndarray:
     """The site values of a potential given as an array or a PotentialSample."""
     values = np.asarray(getattr(omega, "values", omega), dtype=float)
@@ -74,7 +69,7 @@ class HierarchicalOperator:
         if weights.ndim != 1:
             raise ValueError(f"weights must be a vector, got shape {weights.shape}")
         self.rank = weights.size - 1
-        _check_rank(t, self.rank)
+        t.check_rank(self.rank)
         self.trunc = t
         self.weights = weights
         self.tail = tail
@@ -115,7 +110,7 @@ class HierarchicalOperator:
 
 def averaging(t: Truncation, r: int) -> HierarchicalOperator:
     """E_r: orthogonal projection onto states constant on rank-r clusters."""
-    _check_rank(t, r)
+    t.check_rank(r)
     return HierarchicalOperator(t, np.eye(r + 1)[r])
 
 
@@ -127,7 +122,7 @@ def laplacian(
     ``include_tail`` adds the compression's uniform kernel, making it the
     exact compression of the full Laplacian; only meaningful at the depth.
     """
-    _check_rank(t, r)
+    t.check_rank(r)
     if include_tail and r != t.depth:
         raise ValueError("the tail kernel only applies at the truncation depth")
     weights = [0.0] + [seq.p(s) for s in range(1, r + 1)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import operators
 from .coupling import CouplingSequence, GeometricCoupling
-from .hierarchy import HierarchySpec, Truncation, spec_of
+from .hierarchy import HierarchySpec, Truncation
 
 
 class EigenvalueGroupingError(ArithmeticError):
@@ -45,8 +45,7 @@ def exact_cutoff_spectrum(
     Multiplicities are exact integers N_r/N_s - N_r/N_{s+1} for s < r, and 1
     for the constant vector at lambda_r; they total N_r.
     """
-    if not 0 <= r <= t.depth:
-        raise ValueError(f"rank {r} out of range [0, {t.depth}]")
+    t.check_rank(r)
     n_r = t.sizes[r]
     out = []
     for s in range(r):
@@ -82,12 +81,11 @@ def limiting_spectral_measure(
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    spec = spec_of(geometry)
     locations = np.empty(r_max + 1)
     weights = np.empty(r_max + 1)
     n_r = 1
     for r in range(r_max + 1):
-        n_next = n_r * spec.factor(r + 1)
+        n_next = n_r * geometry.factor(r + 1)
         locations[r] = seq.lam(r)
         weights[r] = 1.0 / n_r - 1.0 / n_next
         n_r = n_next
@@ -202,11 +200,10 @@ def walk_classification(
     """
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    spec = spec_of(geometry)
     terms = np.empty(r_max + 1)
     log_n = 0.0
     for r in range(r_max + 1):
-        f_next = spec.factor(r + 1)
+        f_next = geometry.factor(r + 1)
         log_tail = seq.log_tail(r)
         if log_tail == -math.inf:
             terms[r] = math.inf
@@ -216,10 +213,11 @@ def walk_classification(
     sums = np.cumsum(terms)
 
     analytic = None
-    if spec.degree is not None and isinstance(seq, GeometricCoupling):
-        analytic = "transient" if seq.rho < spec.degree else "recurrent"
+    if geometry.degree is not None and isinstance(seq, GeometricCoupling):
+        analytic = "transient" if seq.rho < geometry.degree else "recurrent"
 
-    ratio = terms[-1] / terms[-2] if terms[-2] > 0 else math.inf
+    # past a vanishing tail the terms are inf, and inf / inf would warn
+    ratio = terms[-1] / terms[-2] if 0 < terms[-2] < math.inf else math.inf
     if not math.isfinite(sums[-1]) or sums[-1] > divergence_threshold or ratio >= 1.0 - 1e-12:
         classification, value = "recurrent", None
     elif ratio < 1.0 and terms[-1] * ratio / (1.0 - ratio) < 1e-9 * max(sums[-1], 1.0):

@@ -115,6 +115,25 @@ def test_seed_override_changes_output(tmp_path):
     assert manifest["config"]["seed"] == 7
 
 
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_seed_override_is_validated_like_the_config(tmp_path, capsys, seed):
+    # a manifest must re-run; an out-of-range seed would be refused there
+    config = write_config(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert main(["walk", "--config", config, "--out", str(out), "--seed", seed]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_flag_below_one_rejected(tmp_path, capsys, threads):
+    config = write_config(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert main(["walk", "--config", config, "--out", str(out), "--threads", threads]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     cfg = base_config()
     del cfg["seed"]

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hieram import (
+    CouplingSequence,
     ExplicitCoupling,
     GeometricCoupling,
     HierarchySpec,
@@ -219,3 +220,72 @@ def test_fractional_moment_bounds_degenerate_at_s_near_one():
         fractional_moment_bounds(GeometricCoupling(4.0), t, 1.0)
     with pytest.raises(ValueError):
         fractional_moment_bounds(GeometricCoupling(4.0), t, 0.0)
+
+
+PLANS = {
+    "degree2": HierarchySpec.homogeneous(2, 6),
+    "degree3": HierarchySpec.homogeneous(3, 4),
+    "branching2323": HierarchySpec.explicit([2, 3, 2, 3]),
+}
+FAMILIES = {
+    "geometric1.5": GeometricCoupling(1.5),
+    "geometric4": GeometricCoupling(4.0),
+    "poly2-0.3": PolyGeometricCoupling(2, 0.3),
+    "poly3-0.2": PolyGeometricCoupling(3, 0.2),
+    "explicit": ExplicitCoupling([0.5, 0.5]),
+    "explicit-tail": ExplicitCoupling([0.5, 0.25], 0.25),
+}
+
+
+@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+@pytest.mark.parametrize("seq", FAMILIES.values(), ids=FAMILIES.keys())
+def test_plan_and_truncation_give_equal_results(plan, seq):
+    # repr compares NaN ratios (plans without a degree) as equal
+    t = build_truncation(plan)
+    for u in (PowerSequence(1.1), PowerSequence(1.5)):
+        assert check_main_hypothesis(seq, plan, u) == check_main_hypothesis(seq, t, u)
+    for s in (0.3, 0.5):
+        assert repr(fractional_moment_bounds(seq, plan, s)) == repr(
+            fractional_moment_bounds(seq, t, s)
+        )
+    for r in range(t.depth + 3):
+        assert seq.weighted_tail(r, plan) == seq.weighted_tail(r, t)
+
+
+@pytest.mark.parametrize(
+    "seq,decay",
+    [
+        (GeometricCoupling(1.5), (1.5, 0.0)),
+        (GeometricCoupling(4.0), (4.0, 0.0)),
+        (PolyGeometricCoupling(2, 0.3), (2, -3.3)),
+        (PolyGeometricCoupling(3, 0.2), (3, -3.2)),
+        (ExplicitCoupling([0.5, 0.25], 0.25), None),
+    ],
+)
+def test_decay_law_is_the_closed_form_of_p(seq, decay):
+    if decay is None:
+        assert seq.decay is None
+        return
+    assert seq.decay == pytest.approx(decay)
+    a, q = seq.decay
+    ratios = [seq.p(r) / (r**q * a ** (-r)) for r in range(1, 61)]
+    assert max(ratios) == pytest.approx(min(ratios), rel=1e-13)
+
+
+def test_weighted_tail_needs_a_decay_law():
+    with pytest.raises(NotImplementedError):
+        CouplingSequence().weighted_tail(0, HierarchySpec.homogeneous(2, 2))
+
+
+@pytest.mark.parametrize("k", range(1, 300))
+def test_main_hypothesis_boundary_diverges(k):
+    # at degree = n and u = 1 + eps/2 the terms go like r^{2u-3-eps} = 1/r;
+    # the decimal inputs round that exponent to either side of -1
+    eps = float(f"{k / 100:.2f}")
+    u = float(f"{1 + k / 200:.3f}")
+    seq = PolyGeometricCoupling(2, eps)
+    spec = HierarchySpec.homogeneous(2, 6)
+    assert check_main_hypothesis(seq, spec, PowerSequence(u)).verdict == DIVERGES_ANALYTIC
+    if u - 0.005 > 1.0:
+        below = check_main_hypothesis(seq, spec, PowerSequence(u - 0.005))
+        assert below.verdict == CONVERGES_ANALYTIC

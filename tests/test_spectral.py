@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hieram import (
     ExplicitCoupling,
     GeometricCoupling,
     HierarchySpec,
+    PolyGeometricCoupling,
     build_truncation,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
@@ -297,3 +300,44 @@ def test_finite_volume_dos_refuses_unresolved_atoms():
     seq = GeometricCoupling(64.0)
     with pytest.raises(EigenvalueGroupingError):
         finite_volume_dos(t, seq, 10)
+
+
+def test_walk_without_tail_warns_nothing():
+    # past a vanishing tail every term is inf; inf / inf must not be formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = walk_classification(
+            HierarchySpec.homogeneous(2, 6), ExplicitCoupling([0.5, 0.5]), 60
+        )
+    assert np.isinf(report.terms[2:]).all()
+    assert report.classification == "recurrent"
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        HierarchySpec.homogeneous(2, 6),
+        HierarchySpec.homogeneous(3, 4),
+        HierarchySpec.explicit([2, 3, 2, 3]),
+    ],
+    ids=["degree2", "degree3", "branching2323"],
+)
+@pytest.mark.parametrize(
+    "seq",
+    [GeometricCoupling(2.0), PolyGeometricCoupling(2, 0.3), ExplicitCoupling([0.5, 0.25], 0.25)],
+    ids=["geometric", "polygeometric", "explicit"],
+)
+def test_plan_and_truncation_give_equal_measures_and_walks(plan, seq):
+    t = build_truncation(plan)
+    a, b = limiting_spectral_measure(plan, seq, 12), limiting_spectral_measure(t, seq, 12)
+    assert np.array_equal(a.locations, b.locations)
+    assert np.array_equal(a.weights, b.weights)
+    assert a.mass == b.mass
+    a, b = walk_classification(plan, seq, 40), walk_classification(t, seq, 40)
+    assert np.array_equal(a.terms, b.terms)
+    assert np.array_equal(a.partial_sums, b.partial_sums)
+    assert (a.classification, a.value, a.analytic_classification) == (
+        b.classification,
+        b.value,
+        b.analytic_classification,
+    )
