@@ -348,7 +348,7 @@ def run_spectrum(ctx, writer: OutputWriter) -> dict:
     else:
         exact = spectral.exact_cutoff_spectrum(t, seq, r)
         block = operators.cutoff_dense_block(t, seq, r, cap)
-    dense_values = operators.dense_symmetric_eigensolve(block).eigenvalues
+    dense_values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
     dense = spectral.group_eigenvalues(dense_values, exact)
     locations, mults = zip(*exact, *dense)
     source = np.repeat(["exact", "dense"], [len(exact), len(dense)])
@@ -632,10 +632,13 @@ def main(argv=None) -> int:
         fmt_name = config.get("format", "csv")
         threads = args.threads or config.get("threads") or os.cpu_count() or 1
 
-        spec = resolve_hierarchy(config)
+        t = Truncation(resolve_hierarchy(config))
+        t.check_rank(config.get("rank", 0))  # before OutputWriter makes --out
+        for key in ("site", "target"):
+            t.check_site(config.get(key, 0))
         ctx = {
             "config": config,
-            "trunc": Truncation(spec),
+            "trunc": t,
             "coupling": resolve_coupling(config),
             "disorder": resolve_disorder(config),
         }

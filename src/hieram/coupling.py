@@ -280,6 +280,11 @@ def _numeric_verdict(terms: np.ndarray, partial_sums: np.ndarray) -> str:
     return INCONCLUSIVE
 
 
+def _unplaced_verdict(seq: CouplingSequence, r_max: int) -> str | None:
+    """INCONCLUSIVE if mass lies past r_max yet p(r_max) = 0: no term carries it."""
+    return INCONCLUSIVE if seq.tail(r_max) > 0.0 and seq.p(r_max) == 0.0 else None
+
+
 def _series_report(condition, u, terms, verdict) -> HypothesisReport:
     terms = np.asarray(terms, dtype=float)
     sums = np.cumsum(terms)
@@ -310,7 +315,7 @@ def check_main_hypothesis(
     for r in range(1, r_max + 1):
         terms.append(seq.p(r) * n_prev * u(r - 1) * u(r))
         n_prev *= t.factor(r)
-    verdict = None
+    verdict = _unplaced_verdict(seq, r_max)
     if t.degree is not None and seq.decay is not None:
         a, q = seq.decay
         verdict = _analytic_verdict(t.degree / a, 2.0 * u.exponent + q)
@@ -326,7 +331,7 @@ def check_molchanov_condition(
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
     terms = [seq.p(r) * u(r) for r in range(1, r_max + 1)]
-    verdict = None
+    verdict = _unplaced_verdict(seq, r_max)
     if seq.decay is not None:
         a, q = seq.decay
         verdict = _analytic_verdict(1.0 / a, u.exponent + q)

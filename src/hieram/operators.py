@@ -14,7 +14,7 @@ Applications run in O(N * R) via blocked scans.
 
 Dense assembly goes through the distance kernel (independent of apply, so the
 two paths can cross-check each other), and the dense symmetric eigensolver
-wraps LAPACK's eigh.
+wraps LAPACK's eigh, or its values-only eigvalsh where no vector is read.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .coupling import CouplingSequence
 from .hierarchy import Truncation, distance_matrix
 
 DENSE_CAP = 4096
+SYMMETRY_PANEL = 256  # rows per slice of the eigensolver's symmetry check
 
 
 class DenseCapError(ValueError):
@@ -163,22 +164,28 @@ def compression_dense_block(
 
 @dataclass(frozen=True)
 class DenseSpectrum:
-    """Full symmetric eigendecomposition: ascending values, column vectors."""
+    """Ascending eigenvalues and column eigenvectors ((n, 0) if values only)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def dense_symmetric_eigensolve(a: np.ndarray) -> DenseSpectrum:
-    """Eigendecompose a real symmetric matrix; deterministic for fixed input."""
+def dense_symmetric_eigensolve(a: np.ndarray, vectors: bool = True) -> DenseSpectrum:
+    """Eigendecompose a real symmetric matrix; deterministic for fixed input.
+
+    ``vectors=False`` calls eigvalsh (LAPACK jobz='N'): no back-transformation.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("cannot eigensolve an empty matrix")
-    tol = 1e-12 * max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.T).max())
-    if asym > tol:
+    asym = 0.0  # a panel of rows at a time: no n x n temporary
+    for lo in range(0, len(a), SYMMETRY_PANEL):
+        panel = a[lo : lo + SYMMETRY_PANEL] - a[:, lo : lo + SYMMETRY_PANEL].T
+        asym = np.abs(panel).max(initial=asym)
+    if asym > 1e-12 * max(1.0, a.max(), -a.min()):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:g}")
-    values, vectors = np.linalg.eigh(a)
-    return DenseSpectrum(values, vectors)
+    if not vectors:
+        return DenseSpectrum(np.linalg.eigvalsh(a), np.empty((len(a), 0)))
+    return DenseSpectrum(*np.linalg.eigh(a))

@@ -132,11 +132,11 @@ def finite_volume_dos(
 ) -> SpectralMeasure:
     """Eigenvalue counting measure of the compression onto the rank-r cluster.
 
-    Computed from a dense eigensolve; every eigenvalue carries weight 1/N_r
-    and the eigenvalues of each exact atom coalesce into one atom.
+    Computed from a values-only dense eigensolve; every eigenvalue carries
+    weight 1/N_r and the eigenvalues of each exact atom coalesce into one atom.
     """
     block = operators.compression_dense_block(t, seq, r, cap)
-    values = operators.dense_symmetric_eigensolve(block).eigenvalues
+    values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
     groups = group_eigenvalues(values, restricted_full_spectrum(t, seq, r))
     locations = np.array([loc for loc, _ in groups])
     weights = np.array([mult / t.sizes[r] for _, mult in groups])

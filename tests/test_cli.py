@@ -13,9 +13,13 @@ from hieram import (
     HierarchySpec,
     build_truncation,
     cli,
+    exact_cutoff_spectrum,
+    group_eigenvalues,
     localization_sweep,
+    restricted_full_spectrum,
 )
 from hieram.cli import OutputWriter, columns, main
+from hieram.operators import compression_dense_block, cutoff_dense_block
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -168,6 +172,37 @@ def test_out_of_range_site_rejected(tmp_path, capsys):
     assert main(["green", "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "subcommand,key,value,detail",
+    [
+        ("spectrum", "rank", 9, "rank 9 out of range [0, 4]"),
+        ("dos", "rank", 5, "rank 5 out of range [0, 4]"),
+        ("green", "rank", 9, "rank 9 out of range [0, 4]"),
+        ("green", "site", 16, "site 16 out of range [0, 16)"),
+        ("green", "target", 99, "site 99 out of range [0, 16)"),
+        ("bound", "rank", 9, "rank 9 out of range [0, 4]"),
+        ("bound", "site", 16, "site 16 out of range [0, 16)"),
+        ("localize", "site", 16, "site 16 out of range [0, 16)"),
+    ],
+)
+def test_out_of_range_rank_or_site_leaves_no_output(
+    tmp_path, capsys, subcommand, key, value, detail
+):
+    config = write_config(tmp_path, base_config(**{key: value}))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "detail": detail}
+    assert not out.exists()
+
+
+def test_hypothesis_with_declared_tail_is_inconclusive(tmp_path):
+    cfg = base_config(coupling={"family": "explicit", "weights": [0.5, 0.25], "tail": 0.25})
+    out = tmp_path / "o"
+    assert main(["hypothesis", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["main_verdict"] == summary["molchanov_verdict"] == "inconclusive"
 
 
 def test_dense_cap_breach_exits_3(tmp_path, capsys):
@@ -368,6 +403,56 @@ def test_unresolved_atoms_exit_3(tmp_path, capsys, subcommand):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "eigenvalue-grouping"
     assert not (out / "manifest.json").exists()
+
+
+def _merged(atoms):
+    """Exact atoms with equal locations summed into one, as the dense rows are."""
+    out = []
+    for loc, mult in atoms:
+        if out and out[-1][0] == loc:
+            mult += out.pop()[1]
+        out.append((loc, mult))
+    return out
+
+
+# dos always compresses the full Laplacian, so only spectrum turns the tail off
+@pytest.mark.parametrize("subcommand,tail", [("spectrum", True), ("spectrum", False), ("dos", True)])
+@pytest.mark.parametrize(
+    "hierarchy",
+    [{"degree": 2, "depth": 6}, {"branching": [2, 3, 2, 3, 2]}, {"branching": [3, 3, 3, 3]}],
+)
+@pytest.mark.parametrize(
+    "coupling",
+    [
+        {"family": "geometric", "rho": 4.0},
+        {"family": "polygeometric", "n": 2, "epsilon": 0.3},
+        {"family": "explicit", "weights": [0.5, 0.25], "tail": 0.25},
+    ],
+)
+def test_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, hierarchy, coupling):
+    # the values-only solve puts each dense row within 1e-12 of its exact
+    # atom, and of the same grouping of a full numpy eigh
+    cfg = base_config(hierarchy=hierarchy, coupling=coupling, include_tail=tail)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    t = build_truncation(cli.resolve_hierarchy(cfg))
+    seq = cli.resolve_coupling(cfg)
+    r = t.depth
+    atoms = (restricted_full_spectrum if tail else exact_cutoff_spectrum)(t, seq, r)
+    block = (compression_dense_block if tail else cutoff_dense_block)(t, seq, r)
+    grouped = group_eigenvalues(np.linalg.eigh(block)[0], atoms)
+    table, source = ("spectrum", "dense") if subcommand == "spectrum" else ("dos", "nu")
+    lines = (out / f"{table}.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if l.endswith("," + source)]
+    exact = _merged(atoms)
+    assert len(rows) == len(exact) == len(grouped)
+    for (loc, value, _), (eloc, emult), (gloc, _) in zip(rows, exact, grouped):
+        assert abs(float(loc) - eloc) <= 1e-12
+        assert abs(float(loc) - gloc) <= 1e-12
+        if subcommand == "spectrum":
+            assert int(value) == emult
+        else:
+            assert float(value) == emult / t.sizes[r]
 
 
 # ---------------------------------------------------------------------------

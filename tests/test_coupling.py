@@ -17,8 +17,10 @@ from hieram import (
 )
 from hieram.coupling import (
     CONVERGES_ANALYTIC,
+    CONVERGES_NUMERIC,
     DIVERGES_ANALYTIC,
     DIVERGES_NUMERIC,
+    INCONCLUSIVE,
 )
 
 
@@ -187,6 +189,24 @@ def test_molchanov_condition_explicit_diverges():
     assert rep.verdict == DIVERGES_NUMERIC
     # terms approach 1, partial sums grow linearly
     assert rep.terms[-1] == pytest.approx(r_max / (r_max + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("r_max", [3, 10, 40])
+def test_declared_tail_mass_past_r_max_is_inconclusive(r_max):
+    # a quarter of the mass lies past the list, where p_r reads 0, so the
+    # vanishing terms say nothing about how that mass is spread
+    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    seq = ExplicitCoupling([0.5, 0.25], 0.25)
+    assert check_main_hypothesis(seq, t, r_max=r_max).verdict == INCONCLUSIVE
+    assert check_molchanov_condition(seq, r_max=r_max).verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.5, 0.25, 0.25]])
+def test_finite_list_without_tail_still_converges(weights):
+    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    seq = ExplicitCoupling(weights)
+    assert check_main_hypothesis(seq, t, r_max=10).verdict == CONVERGES_NUMERIC
+    assert check_molchanov_condition(seq, r_max=10).verdict == CONVERGES_NUMERIC
 
 
 def test_fractional_moment_bounds_frozen_oracle():

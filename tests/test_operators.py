@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,56 @@ def test_general_operator_apply_matches_dense():
     assert np.abs(dense - expected).max() < 1e-15
     # the block at site 0 is the corner of the full matrix
     assert np.array_equal(op.dense(m=6), dense[:6, :6])
+
+
+def _random_symmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300])
+def test_values_only_solve_matches_eigh(n):
+    a = _random_symmetric(n, n)
+    spectrum = dense_symmetric_eigensolve(a, vectors=False)
+    values = np.linalg.eigh(a)[0]
+    assert spectrum.eigenvectors.shape == (n, 0)
+    assert np.abs(spectrum.eigenvalues - values).max() <= 1e-13 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("n", [2, 255, 257, 300])
+def test_panel_symmetry_check_sees_every_panel(n, vectors):
+    # an asymmetric pair in the first panel, and one whose rows both lie in
+    # the last (partial) panel where n allows it
+    for x, y in [(0, 1), (1, 0), (n - 1, n - 2), (n - 2, n - 1), (n - 1, 0)]:
+        a = _random_symmetric(n, 3)
+        a[x, y] += 1e-6
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            dense_symmetric_eigensolve(a, vectors=vectors)
+
+
+@pytest.mark.parametrize("big,odd", [((299, 299), (0, 1)), ((0, 0), (299, 298))])
+def test_symmetry_tolerance_scales_with_the_whole_matrix(big, odd):
+    # the largest entry sits in another panel than the asymmetry; the scale
+    # 1e6 still sets the tolerance 1e-6, so an asymmetry of 1e-8 passes
+    a = _random_symmetric(300, 4)
+    a[big] = 1e6
+    a[odd] += 1e-8
+    assert dense_symmetric_eigensolve(a, vectors=False).eigenvalues.max() > 1e5
+    a[odd] += 1e-5
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        dense_symmetric_eigensolve(a, vectors=False)
+
+
+def test_values_only_solve_allocates_no_second_matrix():
+    # eigvalsh's own copy of the matrix is the one n x n buffer; a check
+    # building a - a.T and its absolute value would add two more
+    n = 512
+    a = _random_symmetric(n, 6)
+    tracemalloc.start()
+    try:
+        dense_symmetric_eigensolve(a, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
