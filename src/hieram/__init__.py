@@ -38,7 +38,6 @@ from .greens import (
     build_cascade,
     green_column,
     green_entry,
-    moment_ladder,
 )
 from .hierarchy import ClusterId, HierarchySpec, Truncation, build_truncation
 from .operators import (

@@ -183,13 +183,17 @@ def _cells(column: np.ndarray, width: int) -> list:
 
 
 class OutputWriter:
-    """Writes tables and the manifest with deterministic bytes."""
+    """Writes tables and the manifest with deterministic bytes; the directory
+    is made at the first write, so a run that fails before it leaves none."""
 
     def __init__(self, out_dir: Path, fmt_name: str):
         self.out_dir = out_dir
         self.fmt_name = fmt_name
         self.files: list[str] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+
+    def _open(self, fname: str, **kwargs):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return open(self.out_dir / fname, "w", **kwargs)
 
     def table(self, name: str, header: list[str], rows: np.ndarray) -> str:
         """Write a table built by columns(header, ...); returns the file name."""
@@ -199,11 +203,11 @@ class OutputWriter:
         fname = f"{name}.{self.fmt_name}"
         if self.fmt_name == "json":
             payload = [dict(zip(header, row)) for row in rows.tolist()]
-            with open(self.out_dir / fname, "w") as fh:
+            with self._open(fname) as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
                 fh.write("\n")
         else:
-            with open(self.out_dir / fname, "w", newline="") as fh:
+            with self._open(fname, newline="") as fh:
                 width = len(header)
                 template = ",".join(_CELL[kind] for kind in kinds) + "\n"
                 fh.write(",".join(_csv_field(h, width) for h in header) + "\n")
@@ -217,7 +221,7 @@ class OutputWriter:
         return fname
 
     def summary(self, payload: dict):
-        with open(self.out_dir / "summary.json", "w") as fh:
+        with self._open("summary.json") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
             fh.write("\n")
         self.files.append("summary.json")
@@ -233,7 +237,7 @@ class OutputWriter:
             "config": config,
             "files": sorted(self.files),
         }
-        with open(self.out_dir / "manifest.json", "w") as fh:
+        with self._open("manifest.json") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
             fh.write("\n")
 
@@ -633,7 +637,7 @@ def main(argv=None) -> int:
         threads = args.threads or config.get("threads") or os.cpu_count() or 1
 
         t = Truncation(resolve_hierarchy(config))
-        t.check_rank(config.get("rank", 0))  # before OutputWriter makes --out
+        t.check_rank(config.get("rank", 0))  # for every subcommand, before any work
         for key in ("site", "target"):
             t.check_site(config.get(key, 0))
         ctx = {

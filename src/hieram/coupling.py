@@ -356,7 +356,8 @@ class FractionalMomentBounds:
     upper: SeriesEstimate
 
 
-def _bracket_series(terms, ratio, poly_exponent) -> SeriesEstimate:
+def _bracket_series(terms, ratio, poly_exponent, verdict) -> SeriesEstimate:
+    """Analytic estimate if the ratio is known, else by verdict (default: numeric)."""
     terms = np.asarray(terms, dtype=float)
     sums = np.cumsum(terms)
     if not math.isnan(ratio):
@@ -365,7 +366,7 @@ def _bracket_series(terms, ratio, poly_exponent) -> SeriesEstimate:
             completion = terms[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
             return SeriesEstimate(float(sums[-1] + completion), ratio, True)
         return SeriesEstimate(math.inf, ratio, False)
-    verdict = _numeric_verdict(terms, sums)
+    verdict = verdict or _numeric_verdict(terms, sums)
     if verdict == DIVERGES_NUMERIC:
         return SeriesEstimate(math.inf, ratio, False)
     converges = True if verdict == CONVERGES_NUMERIC else None
@@ -399,8 +400,9 @@ def fractional_moment_bounds(
         low_ratio = t.degree ** (1.0 - s) / a
         up_ratio = t.degree ** (1.0 - s) / a**s
         low_q, up_q = q, s * q
+    unplaced = _unplaced_verdict(seq, r_max)
     return FractionalMomentBounds(
         s=s,
-        lower=_bracket_series(lower_terms, low_ratio, low_q),
-        upper=_bracket_series(upper_terms, up_ratio, up_q),
+        lower=_bracket_series(lower_terms, low_ratio, low_q, unplaced),
+        upper=_bracket_series(upper_terms, up_ratio, up_q, unplaced),
     )

@@ -197,6 +197,9 @@ def localization_sweep(
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     ranks = tuple(int(r) for r in ranks)
     ipr_ranks = tuple(int(r) for r in ipr_ranks)
+    for r in ipr_ranks:  # fail the IPR cap before the sweep, not after it
+        t.check_rank(r)
+        operators.check_cap(t.sizes[r], cap)
     energies = np.linspace(e_min, e_max, points)
     indices = tuple(range(realizations))
 

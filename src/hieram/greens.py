@@ -14,7 +14,8 @@ where g_s(t) is the mean of G_s(. , t) over the rank-s cluster of t.
 
 The energy sweeps need only squared norms at real energies, so they keep the
 per-cluster scalars and carry squared cluster norms up the tree instead of
-level vectors: O(N + R^2) float64 work per energy (see _sweep).
+level vectors: O(N + R^2) float64 work per energy (see _sweep).  Both read
+one level kernel (_levels), so they share denominators and pole guard.
 
 Real energies are admitted: the resolvent exists off the countable union of
 finite-volume eigenvalue sets, and a pole guard rejects evaluation points
@@ -34,6 +35,8 @@ from .hierarchy import Truncation
 from .operators import potential_values
 
 POLE_TOL = 1e-12
+LADDER_CHUNK = 256  # energies per _sweep call in moment_ladder_sweep
+NORM_CHUNK = 1024  # and in cluster_norm_sweep
 
 
 class PoleProximityError(ArithmeticError):
@@ -71,11 +74,33 @@ class GreenCascade:
 
 def _child_sums(a, n):
     """Sums over each run of n consecutive entries of the last axis, the
-    children of a cluster, in child order (build_cascade and _sweep alike)."""
+    children of a cluster, in child order."""
     total = a[..., 0::n]
     for j in range(1, n):
         total = total + a[..., j::n]
     return total
+
+
+def _levels(t, seq, values, z, r):
+    """The alpha/beta recursion over a 1-D array z of evaluation points.
+
+    Yields (denom, alpha, ok) for s = 0..r, arrays of shape (len(z), rank-s
+    clusters): denom = values - z at s = 0, else 1 + p_s beta with beta the
+    children's mean alpha; alpha = beta / denom (beta = 1 at s = 0).  ok is
+    the running pole mask, False from the first level with |denom| below
+    POLE_TOL, past which alpha is not meaningful.  The dtype follows z.
+    """
+    ok = np.ones(z.size, dtype=bool)
+    beta, denom = 1.0, values[None, :] - z[:, None]
+    for s in range(r + 1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if s:
+                n_s = t.factor(s)
+                beta = _child_sums(alpha, n_s) / n_s
+                denom = 1.0 + seq.p(s) * beta
+            ok &= np.abs(denom).min(axis=1) >= POLE_TOL
+            alpha = beta / denom
+        yield denom, alpha, ok
 
 
 def build_cascade(
@@ -85,31 +110,27 @@ def build_cascade(
     z: complex,
     r: int | None = None,
 ) -> GreenCascade:
-    """Run the per-cluster rank-one recursion up to level r (default: depth)."""
+    """Run the per-cluster rank-one recursion up to level r (default: depth).
+
+    At a real z the cascade is real (float64), as in the energy sweeps.
+    """
     if r is None:
         r = t.depth
     t.check_rank(r)
     values = potential_values(t, omega)
     z = complex(z)
-
-    denom0 = values - z
-    if np.abs(denom0).min() < POLE_TOL:
-        raise PoleProximityError(0, z)
-    v = 1.0 / denom0
-    levels = [v]
-    alphas = [v]
-    for s in range(1, r + 1):
-        p_s = seq.p(s)
-        n_s = t.factor(s)
-        beta = _child_sums(alphas[-1], n_s) / n_s
-        denom = 1.0 + p_s * beta
-        if np.abs(denom).min() < POLE_TOL:
+    point = np.array([z.real if z.imag == 0.0 else z])
+    levels, alphas = [], []
+    for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, point, r)):
+        if not ok[0]:
             raise PoleProximityError(s, z)
-        alphas.append(beta / denom)
-        levels.append(levels[-1] / (math.sqrt(n_s) * np.repeat(denom, t.sizes[s])))
-    return GreenCascade(
-        t, seq, values, z, r, tuple(levels), tuple(alphas)
-    )
+        alphas.append(alpha[0])
+        if s:  # v_s = v_{s-1} / (sqrt(n_s) d_s) on each rank-s cluster
+            scale = math.sqrt(t.factor(s)) * np.repeat(denom[0], t.sizes[s])
+            levels.append(levels[-1] / scale)
+        else:
+            levels.append(alpha[0])
+    return GreenCascade(t, seq, values, z, r, tuple(levels), tuple(alphas))
 
 
 @dataclass(frozen=True)
@@ -160,28 +181,6 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
     return col, moment
 
 
-def moment_ladder(
-    t: Truncation,
-    seq: CouplingSequence,
-    omega,
-    e: float,
-    ranks,
-    x: int = 0,
-) -> list[float]:
-    """Squared resolvent-column norms S_r(e) = ||(H_r - e)^{-1} delta_x||^2.
-
-    One cascade at the real energy e serves the whole rank ladder; the
-    supremum over r bounds the second spectral moment that certifies
-    localization.  Raises PoleProximityError when e is too close to the
-    finite-volume spectrum.
-    """
-    ranks = list(ranks)
-    if not ranks:
-        return []
-    cascade = build_cascade(t, seq, omega, complex(e), max(ranks))
-    return [green_column(cascade, x, r)[1] for r in ranks]
-
-
 # ---------------------------------------------------------------------------
 # vectorized sweeps over energy grids (shared by the diagnostics module)
 # ---------------------------------------------------------------------------
@@ -190,8 +189,8 @@ def moment_ladder(
 def _sweep(t, seq, values, energies, x, r):
     """Moment ladder S_0..S_r(e), cluster norm and pole mask over real energies.
 
-    Runs the alpha/beta recursion of build_cascade over every cluster of
-    levels 1..r (the pole guard), but carries no level vectors.  With
+    Reads the level kernel's denominators d_s and pole mask over every
+    cluster of levels 0..r, but carries no level vectors.  With
     F_s(Q) = 1/(sqrt(n_s) d_s(Q)) the level vectors obey
     v_s(y) = F_s(Q_s(y)) v_{s-1}(y), so their squared norms over clusters,
 
@@ -213,27 +212,19 @@ def _sweep(t, seq, values, energies, x, r):
     n_e = energies.size
     sizes = t.sizes
     lo = (x // sizes[r]) * sizes[r]
-    ok = np.ones(n_e, dtype=bool)
     moments = np.empty((r + 1, n_e))
     shells = np.empty((r, n_e))
     amps = np.zeros((r, n_e))  # amps[s-1] = A_{s',s} at the current rank s'
     spans = np.empty((r, n_e))  # spans[s-1] = prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
+    levels = _levels(t, seq, values, energies, r)
+    _, alpha, ok = next(levels)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom0 = values[None, :] - energies[:, None]
-        ok &= np.abs(denom0).min(axis=1) >= POLE_TOL
-        alpha = 1.0 / denom0
         v_x = alpha[:, x].copy()  # v_s(x), the level vector at x
         g_xx = v_x.copy()  # G_s(x, x)
         w = alpha[:, lo : lo + sizes[r]] ** 2  # W_s over the rank-s clusters of Q_r(x)
         moments[0] = g_xx**2
-        for s in range(1, r + 1):
-            p_s = seq.p(s)
+        for s, (denom, _, ok) in enumerate(levels, start=1):
             n_s = t.factor(s)
-            beta = _child_sums(alpha, n_s) / n_s
-            denom = 1.0 + p_s * beta
-            ok &= np.abs(denom).min(axis=1) >= POLE_TOL
-            alpha = beta / denom
-
             parent = (x - lo) // sizes[s]
             child = (x - lo) // sizes[s - 1] % n_s
             siblings = np.delete(w[:, parent * n_s : (parent + 1) * n_s], child, axis=1)
@@ -242,6 +233,7 @@ def _sweep(t, seq, values, energies, x, r):
             f_q = 1.0 / (math.sqrt(n_s) * denom[:, first : first + w.shape[1] // n_s])
             w = _child_sums(w, n_s) * f_q**2
 
+            p_s = seq.p(s)
             b = p_s * sizes[s - 1] / math.sqrt(sizes[s]) * (v_x / math.sqrt(sizes[s - 1]))
             f_x = f_q[:, parent]
             # divide as build_cascade does, so G_s(x, x) rounds like the column
@@ -254,6 +246,23 @@ def _sweep(t, seq, values, energies, x, r):
     return moments, sizes[r] * w[:, 0], ok
 
 
+def _sweep_grid(t, seq, omega, energies, r, x, chunk):
+    """_sweep over a grid of real energies, chunk energies at a time."""
+    t.check_rank(r)
+    t.check_site(x)
+    values = potential_values(t, omega)
+    energies = np.asarray(energies, dtype=float)
+    moments = np.empty((r + 1, energies.size))
+    norm2 = np.empty(energies.size)
+    ok = np.empty(energies.size, dtype=bool)
+    for lo in range(0, energies.size, chunk):
+        part = slice(lo, lo + chunk)
+        moments[:, part], norm2[part], ok[part] = _sweep(
+            t, seq, values, energies[part], x, r
+        )
+    return moments, norm2, ok
+
+
 def moment_ladder_sweep(
     t: Truncation,
     seq: CouplingSequence,
@@ -261,7 +270,6 @@ def moment_ladder_sweep(
     energies: np.ndarray,
     r_max: int,
     x: int = 0,
-    chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """S_r(e) for r = 0..r_max over a grid of real energies.
 
@@ -269,17 +277,7 @@ def moment_ladder_sweep(
     points within pole tolerance of the finite-volume spectrum are flagged
     False in ok and their moments are not meaningful.
     """
-    t.check_rank(r_max)
-    t.check_site(x)
-    values = potential_values(t, omega)
-    energies = np.asarray(energies, dtype=float)
-    moments = np.empty((r_max + 1, energies.size))
-    ok = np.empty(energies.size, dtype=bool)
-    for lo in range(0, energies.size, chunk):
-        e = energies[lo : lo + chunk]
-        moments[:, lo : lo + e.size], _, ok[lo : lo + e.size] = _sweep(
-            t, seq, values, e, x, r_max
-        )
+    moments, _, ok = _sweep_grid(t, seq, omega, energies, r_max, x, LADDER_CHUNK)
     return moments, ok
 
 
@@ -290,22 +288,11 @@ def cluster_norm_sweep(
     energies: np.ndarray,
     r: int,
     x: int = 0,
-    chunk: int = 1024,
 ) -> tuple[np.ndarray, np.ndarray]:
     """||(H_r - e)^{-1} 1_{Q_r(x)}||^2 over a grid of real energies.
 
     The indicator solve is sqrt(N_r) times the cascade's phi solve, so the
     squared norm is N_r times the squared norm of the rank-r level vector.
     """
-    t.check_rank(r)
-    t.check_site(x)
-    values = potential_values(t, omega)
-    energies = np.asarray(energies, dtype=float)
-    norm2 = np.empty(energies.size)
-    ok = np.empty(energies.size, dtype=bool)
-    for lo in range(0, energies.size, chunk):
-        e = energies[lo : lo + chunk]
-        _, norm2[lo : lo + e.size], ok[lo : lo + e.size] = _sweep(
-            t, seq, values, e, x, r
-        )
+    _, norm2, ok = _sweep_grid(t, seq, omega, energies, r, x, NORM_CHUNK)
     return norm2, ok

@@ -44,7 +44,7 @@ def _as_state(t: Truncation, psi) -> np.ndarray:
     return psi.astype(dtype, copy=False)
 
 
-def _check_cap(n: int, cap: int):
+def check_cap(n: int, cap: int):
     if n > cap:
         raise DenseCapError(f"dense size {n} exceeds cap {cap}")
 
@@ -99,7 +99,7 @@ class HierarchicalOperator:
         """
         t = self.trunc
         n = t.site_count if m is None else m
-        _check_cap(n, cap)
+        check_cap(n, cap)
         per_site = self.weights / np.array(t.sizes[: self.rank + 1])
         k = np.zeros(t.depth + 1)
         k[: self.rank + 1] = np.cumsum(per_site[::-1])[::-1]

@@ -203,14 +203,18 @@ def test_hypothesis_with_declared_tail_is_inconclusive(tmp_path):
     assert main(["hypothesis", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["main_verdict"] == summary["molchanov_verdict"] == "inconclusive"
+    assert summary["fractional_moment_lower_converges"] is None
+    assert summary["fractional_moment_upper_converges"] is None
 
 
 def test_dense_cap_breach_exits_3(tmp_path, capsys):
     cfg = base_config(dense_cap=4)
     config = write_config(tmp_path, cfg)
-    assert main(["spectrum", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "dense-cap"
+    assert not out.exists()
 
 
 def test_dimension_requires_geometric(tmp_path):
@@ -250,9 +254,11 @@ def test_pole_only_grid_exits_3(tmp_path, capsys):
         ranks=[0],
     )
     config = write_config(tmp_path, cfg)
-    assert main(["moments", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["moments", "--config", config, "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "runtime"
+    assert not out.exists()
 
 
 def test_bound_pole_only_grid_exits_3(tmp_path, capsys):
@@ -265,12 +271,14 @@ def test_bound_pole_only_grid_exits_3(tmp_path, capsys):
         seed=7,
     )
     config = write_config(tmp_path, cfg)
-    assert main(["bound", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["bound", "--config", config, "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {
         "error": "runtime",
         "detail": "every grid point is pole-proximate; nothing to report",
     }
+    assert not out.exists()
 
 
 def test_output_reproducible_from_manifest_alone(tmp_path):
@@ -403,6 +411,7 @@ def test_unresolved_atoms_exit_3(tmp_path, capsys, subcommand):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "eigenvalue-grouping"
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def _merged(atoms):

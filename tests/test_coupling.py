@@ -199,6 +199,11 @@ def test_declared_tail_mass_past_r_max_is_inconclusive(r_max):
     seq = ExplicitCoupling([0.5, 0.25], 0.25)
     assert check_main_hypothesis(seq, t, r_max=r_max).verdict == INCONCLUSIVE
     assert check_molchanov_condition(seq, r_max=r_max).verdict == INCONCLUSIVE
+    bracket = fractional_moment_bounds(seq, t, 0.5, r_max=r_max)
+    assert bracket.lower.converges is None and bracket.upper.converges is None
+    # the values stay the partial sums of p_r N_r^{1-s} and p_r^s N_r^{1-s}
+    assert bracket.lower.value == 0.5 * 2.0**0.5 + 0.25 * 2.0
+    assert bracket.upper.value == 0.5**0.5 * 2.0**0.5 + 0.25**0.5 * 2.0
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.5, 0.25, 0.25]])
@@ -207,6 +212,8 @@ def test_finite_list_without_tail_still_converges(weights):
     seq = ExplicitCoupling(weights)
     assert check_main_hypothesis(seq, t, r_max=10).verdict == CONVERGES_NUMERIC
     assert check_molchanov_condition(seq, r_max=10).verdict == CONVERGES_NUMERIC
+    bracket = fractional_moment_bounds(seq, t, 0.5, r_max=10)
+    assert bracket.lower.converges is True and bracket.upper.converges is True
 
 
 def test_fractional_moment_bounds_frozen_oracle():

@@ -5,6 +5,7 @@ import pytest
 
 from hieram import (
     Bernoulli,
+    DenseCapError,
     GeometricCoupling,
     HierarchySpec,
     PowerSequence,
@@ -209,6 +210,23 @@ def test_localization_sweep_order_independent_reduction():
     assert np.array_equal(a.ratio_medians, b.ratio_medians)
     assert a.mid_ipr_median == b.mid_ipr_median
     assert a.mid_ipr_quartiles == b.mid_ipr_quartiles
+
+
+def test_localization_sweep_fails_the_ipr_cap_before_any_sweep():
+    calls = []
+
+    def spy_map(f, xs):
+        calls.append(f)
+        return map(f, xs)
+
+    t = _t(13)  # N = 8192 > DENSE_CAP
+    seq = GeometricCoupling(4.0)
+    with pytest.raises(DenseCapError, match="dense size 8192 exceeds cap 4096"):
+        localization_sweep(
+            t, seq, Uniform(0.0, 1.0), 1, 2, (-0.5, 1.5, 5),
+            ranks=range(14), ipr_ranks=(2, 13), map_fn=spy_map,
+        )
+    assert calls == []
 
 
 def test_localization_sweep_flags_singular_disorder():

@@ -19,7 +19,6 @@ from hieram import (
     green_column,
     green_entry,
     hamiltonian,
-    moment_ladder,
     sample_potential,
 )
 from hieram.disorder import PotentialSample
@@ -40,6 +39,19 @@ def _zeros(t):
 def _dense_resolvent(t, seq, omega, z, r):
     h = hamiltonian(t, seq, omega, r).dense()
     return np.linalg.solve(h - z * np.eye(t.site_count), np.eye(t.site_count))
+
+
+def moment_ladder(t, seq, omega, e, ranks, x=0):
+    """Squared column norms S_r(e) = ||(H_r - e)^{-1} delta_x||^2, r in ranks.
+
+    The per-energy oracle of the sweeps: one cascade at the real energy e and
+    one full column per rank.  Raises PoleProximityError near the spectrum.
+    """
+    ranks = list(ranks)
+    if not ranks:
+        return []
+    cascade = build_cascade(t, seq, omega, complex(e), max(ranks))
+    return [green_column(cascade, x, r)[1] for r in ranks]
 
 
 def test_single_site_alpha():
@@ -378,20 +390,50 @@ def test_cascade_sums_children_in_order(factors):
             assert np.array_equal(c.alphas[s], beta / (1.0 + seq.p(s) * beta))
 
 
-@pytest.mark.parametrize("factors", [[3, 2, 4], [4, 3]])
-@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
-def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist):
+@pytest.mark.parametrize("factors", [[2] * 8, [3, 2, 4], [4, 3, 4]])
+def test_real_cascade_alphas_are_the_float64_recursion(factors):
+    # at a real energy the cascade runs in float64, bit for bit the recursion
+    # the sweeps run, so the two cannot round a denominator differently
     t = build_truncation(HierarchySpec.explicit(factors))
     seq = GeometricCoupling(4.0)
-    omega = sample_potential(dist, t, 11, 0)
-    spectra = _spectra(t, seq, omega, t.depth)
-    # a free grid plus every level-0..R pole, each exactly and one ulp off
-    poles = np.concatenate([omega.values, *spectra])
-    energies = np.concatenate(
-        [np.linspace(-2.0, 3.0, 101), poles, np.nextafter(poles, np.inf)]
-    )
+    omega = sample_potential(Uniform(0.0, 1.0), t, 301, 0)
+    for e in np.linspace(-0.5, 1.5, 50):
+        c = build_cascade(t, seq, omega, e)
+        alpha = 1.0 / (omega.values - e)
+        for s in range(t.depth + 1):
+            if s:
+                children = alpha.reshape(-1, t.factor(s))
+                beta = children[:, 0]
+                for j in range(1, children.shape[1]):
+                    beta = beta + children[:, j]
+                beta = beta / children.shape[1]
+                alpha = beta / (1.0 + seq.p(s) * beta)
+            assert c.alphas[s].dtype == np.float64
+            assert np.array_equal(c.alphas[s], alpha)
+
+
+@pytest.mark.parametrize("factors", [[3, 2, 4], [4, 3], pytest.param(None, id="drawn")])
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist, data):
+    if factors is None:
+        # a drawn plan: its drawn energies (some on a pole), each one ulp off too
+        t, seq, omega, _, _, drawn, _ = data.draw(sweep_cases(dist))
+        energies = np.concatenate(
+            [drawn, np.nextafter(drawn, np.inf), np.nextafter(drawn, -np.inf)]
+        )
+    else:
+        # a free grid plus every level-0..R pole, each exactly and one ulp off
+        t = build_truncation(HierarchySpec.explicit(factors))
+        seq = GeometricCoupling(4.0)
+        omega = sample_potential(dist, t, 11, 0)
+        poles = np.concatenate([omega.values, *_spectra(t, seq, omega, t.depth)])
+        energies = np.concatenate(
+            [np.linspace(-2.0, 3.0, 101), poles, np.nextafter(poles, np.inf)]
+        )
     for r in range(t.depth + 1):
         _, ok = moment_ladder_sweep(t, seq, omega, energies, r)
         raised = [_cascade_or_none(t, seq, omega, e, r) is None for e in energies]
         assert ok.tolist() == [not flag for flag in raised]
-        assert not ok.all()
+        if factors is not None:
+            assert not ok.all()
