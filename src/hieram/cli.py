@@ -12,6 +12,7 @@ library modules stay pure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -152,8 +153,10 @@ def columns(header: list[str], *values) -> np.ndarray:
 
 
 CHUNK_ROWS = 20_000  # rows formatted per write
-# object columns hold Python ints beyond 64 bits; bools and strings come as str
+# object columns hold Python ints beyond 64 bits; bools and strings come as str,
+# and so do JSON floats, as float.__repr__ or json's NaN/Infinity/-Infinity
 _CELL = {"f": "%.17g", "i": "%d", "u": "%d", "O": "%d", "b": "%s", "U": "%s"}
+_JSON_CELL = dict(_CELL, f="%s")
 
 
 def _csv_field(s: str, width: int) -> str:
@@ -168,17 +171,21 @@ def _csv_field(s: str, width: int) -> str:
     return s
 
 
-def _cells(column: np.ndarray, width: int) -> list:
-    """One column of a chunk as the Python values its _CELL format takes."""
+def _cells(column: np.ndarray, quote, json_floats: bool) -> list:
+    """One column of a chunk as the Python values its cell format takes;
+    quote encodes one string cell."""
     if column.dtype.kind == "b":
         return np.where(column, "true", "false").tolist()
     if column.dtype.kind == "U":
         distinct, inverse = np.unique(column, return_inverse=True)
-        quoted = [_csv_field(s, width) for s in distinct.tolist()]
+        quoted = [quote(s) for s in distinct.tolist()]
         return np.array(quoted, dtype=object)[inverse].tolist()
     cells = column.tolist()
     if column.dtype.kind == "O" and not all(type(c) is int for c in cells):
         raise TypeError("an object column may only hold Python ints")
+    if column.dtype.kind == "f" and json_floats:
+        for k in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[k] = json.dumps(cells[k])  # NaN, Infinity or -Infinity
     return cells
 
 
@@ -196,27 +203,42 @@ class OutputWriter:
         return open(self.out_dir / fname, "w", **kwargs)
 
     def table(self, name: str, header: list[str], rows: np.ndarray) -> str:
-        """Write a table built by columns(header, ...); returns the file name."""
+        """Write a table built by columns(header, ...); returns the file name.
+
+        The bytes are those of csv.writer, or of json.dump(list of row dicts,
+        indent=1, sort_keys=True), but each chunk is one %-format call.
+        """
         kinds = [rows.dtype[h].kind for h in rows.dtype.names]
         if list(rows.dtype.names) != list(header) or not set(kinds) <= _CELL.keys():
             raise TypeError(f"table {name}: cannot write {rows.dtype} as {header}")
         fname = f"{name}.{self.fmt_name}"
-        if self.fmt_name == "json":
-            payload = [dict(zip(header, row)) for row in rows.tolist()]
-            with self._open(fname) as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
-                fh.write("\n")
+        width = len(header)
+        as_json = self.fmt_name == "json"
+        if as_json:
+            order = sorted(header)
+            fields = ",\n".join(
+                f"  {json.dumps(h).replace('%', '%%')}: {_JSON_CELL[rows.dtype[h].kind]}"
+                for h in order
+            )
+            # rows are joined by ",\n", so the first row drops its separator
+            head, template, skip = "[", ",\n {\n" + fields + "\n }", 1
+            tail = "\n]\n" if len(rows) else "]\n"
+            quote = json.dumps
         else:
-            with self._open(fname, newline="") as fh:
-                width = len(header)
-                template = ",".join(_CELL[kind] for kind in kinds) + "\n"
-                fh.write(",".join(_csv_field(h, width) for h in header) + "\n")
-                for lo in range(0, len(rows), CHUNK_ROWS):
-                    chunk = rows[lo : lo + CHUNK_ROWS]
-                    flat = [None] * (len(chunk) * width)
-                    for j, h in enumerate(header):
-                        flat[j::width] = _cells(chunk[h], width)
-                    fh.write(template * len(chunk) % tuple(flat))
+            order = header
+            head = ",".join(_csv_field(h, width) for h in header) + "\n"
+            template, skip, tail = ",".join(_CELL[kind] for kind in kinds) + "\n", 0, ""
+            quote = functools.partial(_csv_field, width=width)
+        with self._open(fname, newline=None if as_json else "") as fh:
+            fh.write(head)
+            for lo in range(0, len(rows), CHUNK_ROWS):
+                chunk = rows[lo : lo + CHUNK_ROWS]
+                flat = [None] * (len(chunk) * width)
+                for j, h in enumerate(order):
+                    flat[j::width] = _cells(chunk[h], quote, as_json)
+                text = template * len(chunk) % tuple(flat)
+                fh.write(text[skip:] if lo == 0 else text)
+            fh.write(tail)
         self.files.append(fname)
         return fname
 
@@ -613,7 +635,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument(
-        "--threads", type=int, default=None, help="worker pool size (default: cpu count)"
+        "--threads",
+        type=int,
+        default=None,
+        help="worker pool size for the per-draw sweeps (default: cpu count); "
+        "dense solves run one at a time on the BLAS's own threads",
     )
     return parser
 

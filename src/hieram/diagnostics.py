@@ -188,7 +188,13 @@ def localization_sweep(
     """Moment-ladder and IPR sweep across disorder realizations.
 
     ``map_fn`` lets a caller supply a pool's order-preserving map; the library
-    itself stays single-threaded and pure.
+    itself stays single-threaded and pure.  Only the per-draw moment sweeps go
+    through it: they are numpy loops that call no BLAS, so they scale with
+    the pool.  The IPR profiles run one draw after another on the calling
+    thread, because each dense ``eigh`` already runs on every core through
+    the BLAS's own threads, and two solves at once only contend for them
+    (and hold two N_r x N_r blocks).  Under a single-threaded BLAS
+    (``OPENBLAS_NUM_THREADS=1``) that phase therefore uses one core.
     """
     e_min, e_max, points = grid
     if points < 1 or (points > 1 and not e_max > e_min):
@@ -233,7 +239,7 @@ def localization_sweep(
         def profile(i, r=r):
             return ipr_profile(t, seq, sample_potential(dist, t, seed, i), r, cap)
 
-        eigs, iprs = np.moveaxis(np.array(list(map_fn(profile, indices))), -1, 0)
+        eigs, iprs = np.moveaxis(np.array(list(map(profile, indices))), -1, 0)
         report.ipr_eigenvalues[r] = eigs
         report.ipr_values[r] = iprs
         n_r = t.sizes[r]

@@ -186,8 +186,16 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+def _cluster_step(t, w, denom, s, lo):
+    """W_s from W_{s-1} over the rank-s clusters from site lo on, and F_s there."""
+    n_s = t.factor(s)
+    first = lo // t.sizes[s]
+    f_q = 1.0 / (math.sqrt(n_s) * denom[:, first : first + w.shape[1] // n_s])
+    return _child_sums(w, n_s) * f_q**2, f_q
+
+
 def _sweep(t, seq, values, energies, x, r):
-    """Moment ladder S_0..S_r(e), cluster norm and pole mask over real energies.
+    """Moment ladder S_0..S_r(e) and pole mask over real energies.
 
     Reads the level kernel's denominators d_s and pole mask over every
     cluster of levels 0..r, but carries no level vectors.  With
@@ -196,7 +204,8 @@ def _sweep(t, seq, values, energies, x, r):
 
         W_0(y) = v_0(y)^2,    W_s(Q) = F_s(Q)^2 sum_{children Q'} W_{s-1}(Q'),
 
-    go up the tree inside Q_r(x) and give the cluster norm N_r W_r(Q_r(x)).
+    go up the tree inside Q_r(x) and give the cluster norm N_r W_r(Q_r(x))
+    (_norm_sweep runs this recursion alone).
     On the shell d(x, y) = s the column is G_r(x, y) = -A_{r,s} v_{s-1}(y)
     with A_{r,s} = sum_{s'=s..r} b_{s'} prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
     and b_s = p_s N_{s-1} g_{s-1}(x) / sqrt(N_s), hence
@@ -207,7 +216,7 @@ def _sweep(t, seq, values, energies, x, r):
     Q_{s-1}(x).  Both results are sums of non-negative terms; the only signed
     sums are G_r(x, x) and A_{r,s}, the level sums the column path forms entry
     by entry.  Cost per energy is O(N + r^2) in float64.  Returns
-    (moments, norm2, ok); entries where ok is False are not meaningful.
+    (moments, ok); entries where ok is False are not meaningful.
     """
     n_e = energies.size
     sizes = t.sizes
@@ -229,9 +238,7 @@ def _sweep(t, seq, values, energies, x, r):
             child = (x - lo) // sizes[s - 1] % n_s
             siblings = np.delete(w[:, parent * n_s : (parent + 1) * n_s], child, axis=1)
             shells[s - 1] = siblings.sum(axis=1)
-            first = lo // sizes[s]
-            f_q = 1.0 / (math.sqrt(n_s) * denom[:, first : first + w.shape[1] // n_s])
-            w = _child_sums(w, n_s) * f_q**2
+            w, f_q = _cluster_step(t, w, denom, s, lo)
 
             p_s = seq.p(s)
             b = p_s * sizes[s - 1] / math.sqrt(sizes[s]) * (v_x / math.sqrt(sizes[s - 1]))
@@ -243,24 +250,35 @@ def _sweep(t, seq, values, energies, x, r):
             spans[:s] *= f_x
             amps[:s] += b * spans[:s]
             moments[s] = g_xx**2 + np.sum(amps[:s] ** 2 * shells[:s], axis=0)
-    return moments, sizes[r] * w[:, 0], ok
+    return moments, ok
 
 
-def _sweep_grid(t, seq, omega, energies, r, x, chunk):
-    """_sweep over a grid of real energies, chunk energies at a time."""
+def _norm_sweep(t, seq, values, energies, x, r):
+    """Cluster norm N_r W_r(Q_r(x)) and pole mask over real energies: the W_s
+    recursion of _sweep alone, without shells, amplitudes or moments."""
+    lo = (x // t.sizes[r]) * t.sizes[r]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, energies, r)):
+            if s:
+                w = _cluster_step(t, w, denom, s, lo)[0]
+            else:
+                w = alpha[:, lo : lo + t.sizes[r]] ** 2
+            del denom, alpha  # so the kernel frees them as it builds the next level
+    return t.sizes[r] * w[:, 0], ok
+
+
+def _sweep_grid(sweep, t, seq, omega, energies, r, x, chunk):
+    """sweep (_sweep or _norm_sweep) over a grid of real energies, chunk
+    energies at a time; each output is joined along its energy axis."""
     t.check_rank(r)
     t.check_site(x)
     values = potential_values(t, omega)
     energies = np.asarray(energies, dtype=float)
-    moments = np.empty((r + 1, energies.size))
-    norm2 = np.empty(energies.size)
-    ok = np.empty(energies.size, dtype=bool)
-    for lo in range(0, energies.size, chunk):
-        part = slice(lo, lo + chunk)
-        moments[:, part], norm2[part], ok[part] = _sweep(
-            t, seq, values, energies[part], x, r
-        )
-    return moments, norm2, ok
+    parts = [
+        sweep(t, seq, values, energies[lo : lo + chunk], x, r)
+        for lo in range(0, max(energies.size, 1), chunk)
+    ]
+    return tuple(np.concatenate(out, axis=-1) for out in zip(*parts))
 
 
 def moment_ladder_sweep(
@@ -277,8 +295,7 @@ def moment_ladder_sweep(
     points within pole tolerance of the finite-volume spectrum are flagged
     False in ok and their moments are not meaningful.
     """
-    moments, _, ok = _sweep_grid(t, seq, omega, energies, r_max, x, LADDER_CHUNK)
-    return moments, ok
+    return _sweep_grid(_sweep, t, seq, omega, energies, r_max, x, LADDER_CHUNK)
 
 
 def cluster_norm_sweep(
@@ -294,5 +311,4 @@ def cluster_norm_sweep(
     The indicator solve is sqrt(N_r) times the cascade's phi solve, so the
     squared norm is N_r times the squared norm of the rank-r level vector.
     """
-    _, norm2, ok = _sweep_grid(t, seq, omega, energies, r, x, NORM_CHUNK)
-    return norm2, ok
+    return _sweep_grid(_norm_sweep, t, seq, omega, energies, r, x, NORM_CHUNK)

@@ -317,6 +317,18 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
     assert (out1 / "moments.csv").read_bytes() == (out2 / "moments.csv").read_bytes()
 
 
+def test_localize_threads_flag_does_not_change_bytes(tmp_path):
+    extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "realizations": 3}
+    config = write_config(tmp_path, base_config(**extra))
+    names = ["ipr.csv", "moments.csv", "summary.json"]
+    outputs = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"t{threads}"
+        assert main(["localize", "--config", config, "--out", str(out), "--threads", threads]) == 0
+        outputs.append(read_bytes(out, names))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_spectrum_values_round_trip(tmp_path):
     config = write_config(tmp_path, base_config(rank=3))
     out = tmp_path / "out"
@@ -551,6 +563,68 @@ def test_table_writer_empty_and_single_column_tables(tmp_path, fmt_name):
     labels = ["", "x", "a,b", ""]
     got = _written(tmp_path / "b", fmt_name, header, columns(header, labels))
     assert got == _reference(fmt_name, header, [(label,) for label in labels])
+
+
+def test_json_table_writer_matches_json_dump(tmp_path, monkeypatch):
+    # keys out of sort order, keys the % template must escape, and the cells
+    # json encodes specially
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+    values = {
+        "z%d": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 0.1, 1e300],
+        "a": [2**63, 2**64 - 1, -(2**70), 0, 1, -1, 2**100, 7],
+        'q"\u00e9': ["say \"hi\"", "a,b", "\u00fc\u00df", "\u2603", "", "x\ny", "\\", "%s"],
+        "M": [True, False] * 4,
+        "i": np.arange(8) - 4,
+    }
+    header = list(values)
+    rows = list(zip(*values.values()))
+    got = _written(tmp_path, "json", header, columns(header, *values.values()))
+    assert got == _reference("json", header, rows)
+    for n in (0, 1, 3, 4):  # chunk edges and the empty table
+        table = columns(header, *(v[:n] for v in values.values()))
+        assert _written(tmp_path / str(n), "json", header, table) == _reference(
+            "json", header, rows[:n]
+        )
+
+
+@pytest.mark.parametrize(
+    "subcommand,extra",
+    [
+        ("spectrum", {"rank": 3}),
+        ("dos", {"rank": 3, "r_max": 6}),
+        ("dimension", {}),
+        ("walk", {"r_max": 30}),
+        ("hypothesis", {"u_exponent": 2.0, "r_max": 30}),
+        ("green", {"z": {"re": 0.3, "im": 0.9}, "target": 3}),
+        (
+            "moments",
+            {
+                "disorder": {"kind": "bernoulli", "a": 0.0, "b": 1.0, "q": 0.5},
+                "energy_grid": {"min": -0.5, "max": 1.5, "points": 9},
+                "realizations": 2,
+                "save_potentials": True,
+            },
+        ),
+        ("localize", {"energy_grid": {"min": -0.5, "max": 1.5, "points": 9}, "realizations": 2}),
+        ("bound", {"energy_grid": {"min": -0.5, "max": 1.5, "points": 101}, "realizations": 2}),
+    ],
+)
+def test_every_json_table_matches_json_dump(tmp_path, monkeypatch, subcommand, extra):
+    written = []
+    table = OutputWriter.table
+
+    def checked(self, name, header, rows):
+        fname = table(self, name, header, rows)
+        written.append(fname)
+        got = (self.out_dir / fname).read_bytes()
+        assert got == _reference("json", header, rows.tolist())
+        return fname
+
+    monkeypatch.setattr(OutputWriter, "table", checked)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    config = write_config(tmp_path, base_config(format="json", **extra))
+    assert main([subcommand, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert written
 
 
 def test_table_writer_round_trips_through_csv_reader(tmp_path):

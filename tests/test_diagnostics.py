@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hieram import (
     ipr_profile,
     localization_sweep,
     measure_bound_check,
+    operators,
     sample_potential,
 )
 
@@ -210,6 +214,40 @@ def test_localization_sweep_order_independent_reduction():
     assert np.array_equal(a.ratio_medians, b.ratio_medians)
     assert a.mid_ipr_median == b.mid_ipr_median
     assert a.mid_ipr_quartiles == b.mid_ipr_quartiles
+
+
+def test_localization_sweep_runs_one_dense_solve_at_a_time(monkeypatch):
+    # each eigh already spans the cores through BLAS threads; a pooled map
+    # must not run two at once
+    lock = threading.Lock()
+    in_flight, peak, calls = 0, 0, 0
+    solve = operators.dense_symmetric_eigensolve
+
+    def counted(*args, **kwargs):
+        nonlocal in_flight, peak, calls
+        with lock:
+            in_flight += 1
+            calls += 1
+            peak = max(peak, in_flight)
+        try:
+            time.sleep(0.02)
+            return solve(*args, **kwargs)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    monkeypatch.setattr(operators, "dense_symmetric_eigensolve", counted)
+    t = _t(4)
+    seq = GeometricCoupling(4.0)
+    args = (t, seq, Uniform(0.0, 1.0), 3, 4, (-0.5, 1.5, 15))
+    kwargs = dict(ranks=range(5), ipr_ranks=(3, 4))
+    with ThreadPoolExecutor(2) as pool:
+        pooled = localization_sweep(*args, **kwargs, map_fn=pool.map)
+    assert (calls, peak) == (8, 1)
+    serial = localization_sweep(*args, **kwargs)
+    for r in (3, 4):
+        assert np.array_equal(pooled.ipr_values[r], serial.ipr_values[r])
+        assert np.array_equal(pooled.ipr_eigenvalues[r], serial.ipr_eigenvalues[r])
 
 
 def test_localization_sweep_fails_the_ipr_cap_before_any_sweep():
