@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -25,17 +26,7 @@ import numpy as np
 from . import __version__, coupling, diagnostics, disorder, greens, operators, spectral
 from .hierarchy import HierarchySpec, Truncation
 
-SUBCOMMANDS = (
-    "spectrum",
-    "dos",
-    "dimension",
-    "walk",
-    "hypothesis",
-    "green",
-    "moments",
-    "localize",
-    "bound",
-)
+DISORDER_KINDS = {cls.kind: cls for cls in typing.get_args(disorder.DistributionSpec)}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -77,7 +68,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["uniform", "gaussian", "cauchy", "bernoulli"]},
+                "kind": {"enum": list(DISORDER_KINDS)},
                 "center": {"type": "number"},
                 "width": {"type": "number", "exclusiveMinimum": 0},
                 "mean": {"type": "number"},
@@ -323,14 +314,8 @@ def resolve_coupling(cfg: dict) -> coupling.CouplingSequence:
 def resolve_disorder(cfg: dict) -> disorder.DistributionSpec:
     d = dict(cfg.get("disorder", {"kind": "uniform", "center": 0.0, "width": 1.0}))
     kind = d.pop("kind")
-    classes = {
-        "uniform": disorder.Uniform,
-        "gaussian": disorder.Gaussian,
-        "cauchy": disorder.Cauchy,
-        "bernoulli": disorder.Bernoulli,
-    }
     try:
-        return classes[kind](**d)
+        return DISORDER_KINDS[kind](**d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"disorder: {exc}") from exc
 
@@ -492,19 +477,17 @@ def run_green(ctx, writer: OutputWriter) -> dict:
     }
 
 
-def _save_potentials(ctx, writer: OutputWriter, realizations: int):
-    """Optional audit trail: the sampled potential of every realization."""
+def _save_potentials(ctx, writer: OutputWriter, potentials):
+    """Optional audit trail: the potential samples the run used."""
     if not ctx["config"].get("save_potentials", False):
         return
-    t, seed, dist = ctx["trunc"], ctx["config"]["seed"], ctx["disorder"]
-    n = t.site_count
-    omegas = [disorder.sample_potential(dist, t, seed, i) for i in range(realizations)]
+    n = ctx["trunc"].site_count
     header = ["index", "site", "value"]
     rows = columns(
         header,
-        np.repeat(np.arange(realizations), n),
-        np.tile(np.arange(n), realizations),
-        np.concatenate([omega.values for omega in omegas]),
+        np.repeat([omega.index for omega in potentials], n),
+        np.tile(np.arange(n), len(potentials)),
+        np.concatenate([omega.values for omega in potentials]),
     )
     writer.table("potentials", header, rows)
 
@@ -524,7 +507,7 @@ def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
         grid,
         ranks,
         cfg.get("site", 0),
-        ipr_ranks=(ranks[-1],) if ipr else (),
+        ipr_rank=ranks[-1] if ipr else None,
         cap=cfg.get("dense_cap", operators.DENSE_CAP),
         map_fn=ctx["map_fn"],
     )
@@ -536,7 +519,7 @@ def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
     rows = columns(
         header,
         report.seed,
-        np.repeat(report.realization_indices, n_e * n_r),
+        np.repeat([omega.index for omega in report.potentials], n_e * n_r),
         np.tile(np.repeat(report.energies, n_r), n_i),
         np.tile(report.ranks, n_i * n_e),
         np.where(skipped, np.nan, report.moments.transpose(0, 2, 1).ravel()),
@@ -548,24 +531,24 @@ def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
 
 def run_moments(ctx, writer: OutputWriter) -> dict:
     report, grid = _sweep_moments(ctx, writer, ipr=False)
-    _save_potentials(ctx, writer, len(report.realization_indices))
+    _save_potentials(ctx, writer, report.potentials)
     skipped = int((~report.ok).sum())
     return {"grid": list(grid), "ranks": list(report.ranks), "skipped_cells": skipped}
 
 
 def run_localize(ctx, writer: OutputWriter) -> dict:
     report, grid = _sweep_moments(ctx, writer, ipr=True)
-    top = report.ipr_ranks[0]
-    eigenvalues, iprs = report.ipr_eigenvalues[top], report.ipr_values[top]
+    top = report.ipr_rank
+    eigenvalues, iprs = report.ipr_eigenvalues, report.ipr_values
     header = ["r", "eigenvalue", "ipr"]
     writer.table("ipr", header, columns(header, top, eigenvalues.ravel(), iprs.ravel()))
-    _save_potentials(ctx, writer, len(report.realization_indices))
+    _save_potentials(ctx, writer, report.potentials)
     return {
         "grid": list(grid),
         "ranks": list(report.ranks),
         "ratio_medians": report.ratio_medians,
-        "mid_ipr_median": report.mid_ipr_median[top],
-        "mid_ipr_quartiles": list(report.mid_ipr_quartiles[top]),
+        "mid_ipr_median": report.mid_ipr_median,
+        "mid_ipr_quartiles": list(report.mid_ipr_quartiles),
         "ipr_rank": top,
         "delocalized_floor": 1.0 / ctx["trunc"].sizes[top],
         "skipped_cells": int((~report.ok).sum()),
@@ -578,16 +561,16 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
     dist = ctx["disorder"]
     grid = resolve_grid(cfg, dist)
     r = cfg.get("rank", t.depth)
-    realizations = cfg.get("realizations", 1)
     u = coupling.PowerSequence(cfg.get("u_exponent", 2.0))
     threshold = cfg.get("threshold", (u(r) * t.sizes[r]) ** 2)
     site = cfg.get("site", 0)
+    draws = range(cfg.get("realizations", 1))
+    potentials = [disorder.sample_potential(dist, t, cfg["seed"], i) for i in draws]
 
-    def one(i):
-        omega = disorder.sample_potential(dist, t, cfg["seed"], i)
+    def one(omega):
         return diagnostics.measure_bound_check(t, seq, omega, r, threshold, grid, site)
 
-    reports = list(ctx["map_fn"](one, range(realizations)))
+    reports = list(ctx["map_fn"](one, potentials))
     if all(rep.skipped == grid[2] for rep in reports):
         raise RuntimeError("every grid point is pole-proximate; nothing to report")
     header = ["r", "M", "empirical", "bound", "pass"]
@@ -600,7 +583,7 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
         [rep.passed for rep in reports],
     )
     writer.table("bound", header, rows)
-    _save_potentials(ctx, writer, realizations)
+    _save_potentials(ctx, writer, potentials)
     return {
         "grid": list(grid),
         "rank": r,
@@ -629,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hieram",
         description="Hierarchical Anderson model simulations",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="output directory")
@@ -672,10 +655,7 @@ def main(argv=None) -> int:
             "coupling": resolve_coupling(config),
             "disorder": resolve_disorder(config),
         }
-    except ConfigError as exc:
-        _error("config", str(exc))
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # ConfigError is a ValueError
         _error("config", str(exc))
         return 2
 
@@ -693,8 +673,8 @@ def main(argv=None) -> int:
     except spectral.EigenvalueGroupingError as exc:
         _error("eigenvalue-grouping", str(exc))
         return 3
-    except (ConfigError, ValueError) as exc:
-        # out-of-range sites/ranks surface here as library ValueErrors
+    except ValueError as exc:
+        # a ConfigError, or an out-of-range site/rank as a library ValueError
         _error("config", str(exc))
         return 2
     except RuntimeError as exc:

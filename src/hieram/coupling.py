@@ -313,7 +313,8 @@ def check_main_hypothesis(
     terms = []
     n_prev = 1.0
     for r in range(1, r_max + 1):
-        terms.append(seq.p(r) * n_prev * u(r - 1) * u(r))
+        p = seq.p(r)  # a zero or underflowed p_r: 0, not 0 * inf once N overflows
+        terms.append(p * n_prev * u(r - 1) * u(r) if p else 0.0)
         n_prev *= t.factor(r)
     verdict = _unplaced_verdict(seq, r_max)
     if t.degree is not None and seq.decay is not None:

@@ -10,7 +10,7 @@ behaviour that no finite computation can certify directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def borel_cantelli_profile(
 def ipr_profile(
     t: Truncation,
     seq: CouplingSequence,
-    omega: PotentialSample,
+    omega,
     r: int,
     cap: int = operators.DENSE_CAP,
 ) -> list[tuple[float, float]]:
@@ -139,37 +139,36 @@ def ipr_profile(
     """
     n_r = t.sizes[r]
     block = operators.cutoff_dense_block(t, seq, r, cap)
-    block[np.diag_indices(n_r)] += omega.values[:n_r]
+    block[np.diag_indices(n_r)] += operators.potential_values(t, omega)[:n_r]
     spectrum = operators.dense_symmetric_eigensolve(block)
     # two squarings: numpy has no fast path for the exponent 4
     iprs = np.sum(np.square(np.square(spectrum.eigenvectors)), axis=0)
     return list(zip(spectrum.eigenvalues.tolist(), iprs.tolist()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalizationReport:
     """Moment ladders, growth ratios and IPR summaries for one sweep.
 
     Every cell traces back to its (seed, index, energy, rank) tuple; skipped
     cells mark pole-proximate grid points.  The reduction is an indexed
-    gather, so results do not depend on evaluation order.
+    gather, so results do not depend on evaluation order.  The IPR fields
+    are None when the sweep ran without an IPR rank.
     """
 
     seed: int
     energies: np.ndarray
     ranks: tuple[int, ...]
-    realization_indices: tuple[int, ...]
+    potentials: tuple[PotentialSample, ...]  # one draw per realization
     moments: np.ndarray  # (realizations, len(ranks), len(energies))
     ok: np.ndarray  # (realizations, len(energies))
     ratio_medians: np.ndarray  # per adjacent rank pair
-    ipr_ranks: tuple[int, ...]
-    ipr_eigenvalues: dict[int, np.ndarray] = field(default_factory=dict)
-    ipr_values: dict[int, np.ndarray] = field(default_factory=dict)
-    mid_ipr_median: dict[int, float] = field(default_factory=dict)
-    mid_ipr_quartiles: dict[int, tuple[float, float, float]] = field(
-        default_factory=dict
-    )
-    simon_wolff_applicable: bool = True
+    simon_wolff_applicable: bool
+    ipr_rank: int | None = None
+    ipr_eigenvalues: np.ndarray | None = None  # (realizations, N_r)
+    ipr_values: np.ndarray | None = None  # (realizations, N_r)
+    mid_ipr_median: float | None = None
+    mid_ipr_quartiles: tuple[float, float, float] | None = None
 
 
 def localization_sweep(
@@ -181,19 +180,20 @@ def localization_sweep(
     grid: tuple[float, float, int],
     ranks,
     site: int = 0,
-    ipr_ranks=(),
+    ipr_rank: int | None = None,
     cap: int = operators.DENSE_CAP,
     map_fn=map,
 ) -> LocalizationReport:
     """Moment-ladder and IPR sweep across disorder realizations.
 
-    ``map_fn`` lets a caller supply a pool's order-preserving map; the library
-    itself stays single-threaded and pure.  Only the per-draw moment sweeps go
-    through it: they are numpy loops that call no BLAS, so they scale with
-    the pool.  The IPR profiles run one draw after another on the calling
+    Each realization is drawn once, on the calling thread.  ``map_fn`` lets
+    a caller supply a pool's order-preserving map; the library itself stays
+    single-threaded and pure.  Only the per-draw moment sweeps go through it:
+    they are numpy loops that call no BLAS, so they scale with the pool.  The
+    IPR profiles of the same draws run one after another on the calling
     thread, because each dense ``eigh`` already runs on every core through
-    the BLAS's own threads, and two solves at once only contend for them
-    (and hold two N_r x N_r blocks).  Under a single-threaded BLAS
+    the BLAS's own threads, and two solves at once only contend for them (and
+    hold two N_r x N_r blocks).  Under a single-threaded BLAS
     (``OPENBLAS_NUM_THREADS=1``) that phase therefore uses one core.
     """
     e_min, e_max, points = grid
@@ -202,19 +202,18 @@ def localization_sweep(
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     ranks = tuple(int(r) for r in ranks)
-    ipr_ranks = tuple(int(r) for r in ipr_ranks)
-    for r in ipr_ranks:  # fail the IPR cap before the sweep, not after it
-        t.check_rank(r)
-        operators.check_cap(t.sizes[r], cap)
+    if ipr_rank is not None:  # fail the IPR cap before any draw or sweep
+        ipr_rank = int(ipr_rank)
+        t.check_rank(ipr_rank)
+        operators.check_cap(t.sizes[ipr_rank], cap)
     energies = np.linspace(e_min, e_max, points)
-    indices = tuple(range(realizations))
+    potentials = tuple(sample_potential(dist, t, seed, i) for i in range(realizations))
 
-    def ladder(i):
-        omega = sample_potential(dist, t, seed, i)
+    def ladder(omega):
         full, ok = greens.moment_ladder_sweep(t, seq, omega, energies, max(ranks), site)
         return full[list(ranks), :], ok
 
-    moments, ok = (np.stack(parts) for parts in zip(*map_fn(ladder, indices)))
+    moments, ok = (np.stack(parts) for parts in zip(*map_fn(ladder, potentials)))
 
     ratio_medians = np.empty(len(ranks) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -223,30 +222,25 @@ def localization_sweep(
             valid = ratios[ok]
             ratio_medians[j] = float(np.median(valid)) if valid.size else math.nan
 
-    report = LocalizationReport(
-        seed=seed,
-        energies=energies,
-        ranks=ranks,
-        realization_indices=indices,
-        moments=moments,
-        ok=ok,
-        ratio_medians=ratio_medians,
-        ipr_ranks=ipr_ranks,
-        simon_wolff_applicable=dist.absolutely_continuous,
-    )
-
-    for r in ipr_ranks:
-        def profile(i, r=r):
-            return ipr_profile(t, seq, sample_potential(dist, t, seed, i), r, cap)
-
-        eigs, iprs = np.moveaxis(np.array(list(map(profile, indices))), -1, 0)
-        report.ipr_eigenvalues[r] = eigs
-        report.ipr_values[r] = iprs
-        n_r = t.sizes[r]
+    ipr = {}
+    if ipr_rank is not None:
+        profiles = [ipr_profile(t, seq, omega, ipr_rank, cap) for omega in potentials]
+        eigs, iprs = np.moveaxis(np.array(profiles), -1, 0)
+        n_r = t.sizes[ipr_rank]
         lo = int(MID_SPECTRUM_WINDOW[0] * n_r)
         hi = max(lo + 1, int(MID_SPECTRUM_WINDOW[1] * n_r))
         mid = iprs[:, lo:hi]
-        report.mid_ipr_median[r] = float(np.median(mid))
-        q25, q50, q75 = np.quantile(mid, [0.25, 0.5, 0.75])
-        report.mid_ipr_quartiles[r] = (float(q25), float(q50), float(q75))
-    return report
+        quartiles = tuple(float(q) for q in np.quantile(mid, [0.25, 0.5, 0.75]))
+        ipr = dict(ipr_rank=ipr_rank, ipr_eigenvalues=eigs, ipr_values=iprs)
+        ipr.update(mid_ipr_median=float(np.median(mid)), mid_ipr_quartiles=quartiles)
+    return LocalizationReport(
+        seed=seed,
+        energies=energies,
+        ranks=ranks,
+        potentials=potentials,
+        moments=moments,
+        ok=ok,
+        ratio_medians=ratio_medians,
+        simon_wolff_applicable=dist.absolutely_continuous,
+        **ipr,
+    )

@@ -83,13 +83,17 @@ def limiting_spectral_measure(
         raise ValueError(f"r_max must be >= 0, got {r_max}")
     locations = np.empty(r_max + 1)
     weights = np.empty(r_max + 1)
-    n_r = 1
+    n_r, inv_r = 1, 1.0
     for r in range(r_max + 1):
         n_next = n_r * geometry.factor(r + 1)
         locations[r] = seq.lam(r)
-        weights[r] = 1.0 / n_r - 1.0 / n_next
-        n_r = n_next
-    return SpectralMeasure(locations, weights, 1.0 - 1.0 / n_r)
+        try:
+            inv_next = 1.0 / n_next
+        except OverflowError:  # N_{r+1} beyond the float range: int true division
+            inv_next = 1 / n_next
+        weights[r] = inv_r - inv_next
+        n_r, inv_r = n_next, inv_next
+    return SpectralMeasure(locations, weights, 1.0 - inv_r)
 
 
 def group_eigenvalues(
@@ -195,8 +199,9 @@ def walk_classification(
     """Sum the return series (1/N_r - 1/N_{r+1}) / (1 - lambda_r).
 
     Terms are computed in log space so the partial sums stay finite-precision
-    accurate at depths where N_r overflows.  A finite sum means the generated
-    random walk is transient; divergence means recurrent.
+    accurate at depths where N_r overflows; past the float range they are inf.
+    A finite sum means the generated random walk is transient; divergence
+    means recurrent.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
@@ -204,13 +209,13 @@ def walk_classification(
     log_n = 0.0
     for r in range(r_max + 1):
         f_next = geometry.factor(r + 1)
-        log_tail = seq.log_tail(r)
-        if log_tail == -math.inf:
+        try:  # a vanishing tail (log_tail -inf) gives exp(inf) = inf
+            terms[r] = math.exp(math.log1p(-1.0 / f_next) - log_n - seq.log_tail(r))
+        except OverflowError:
             terms[r] = math.inf
-        else:
-            terms[r] = math.exp(math.log1p(-1.0 / f_next) - log_n - log_tail)
         log_n += math.log(f_next)
-    sums = np.cumsum(terms)
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(terms)
 
     analytic = None
     if geometry.degree is not None and isinstance(seq, GeometricCoupling):

@@ -266,15 +266,15 @@ def test_criterion_9_localization_proxy():
         20,
         (-0.5, 1.5, 2001),
         ranks=range(t.depth + 1),
-        ipr_ranks=(t.depth,),
+        ipr_rank=t.depth,
     )
     for r in range(6, t.depth):
         median = rep.ratio_medians[r]
         if not 0.9 <= median <= 1.1:
             failures.append((r, median))
     floor = 1.0 / t.site_count
-    if not rep.mid_ipr_median[t.depth] > 20.0 * floor:
-        failures.append(("ipr", rep.mid_ipr_median[t.depth], 20.0 * floor))
+    if not rep.mid_ipr_median > 20.0 * floor:
+        failures.append(("ipr", rep.mid_ipr_median, 20.0 * floor))
     elapsed = time.time() - start
     report(
         9,

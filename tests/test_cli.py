@@ -13,6 +13,8 @@ from hieram import (
     HierarchySpec,
     build_truncation,
     cli,
+    diagnostics,
+    disorder,
     exact_cutoff_spectrum,
     group_eigenvalues,
     localization_sweep,
@@ -306,6 +308,63 @@ def test_save_potentials_audit_trail(tmp_path):
     lines = (out / "potentials.csv").read_text().splitlines()
     assert lines[0] == "index,site,value"
     assert len(lines) == 1 + 2 * 16  # two realizations, 16 sites each
+
+
+@pytest.mark.parametrize("subcommand", ["moments", "localize", "bound"])
+def test_each_realization_is_drawn_once(tmp_path, monkeypatch, subcommand):
+    # the sweep, the IPRs and potentials.csv all read the same draws
+    drawn = []
+
+    def spy(sample):
+        def recorded(dist, t, seed, index=0):
+            omega = sample(dist, t, seed, index)
+            drawn.append(omega)
+            return omega
+
+        return recorded
+
+    for module in (diagnostics, disorder):
+        monkeypatch.setattr(module, "sample_potential", spy(module.sample_potential))
+    extra = {
+        "energy_grid": {"min": -0.5, "max": 1.5, "points": 11},
+        "rank": 3,
+        "realizations": 3,
+        "save_potentials": True,
+    }
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 0
+    assert sorted(omega.index for omega in drawn) == [0, 1, 2]
+    with open(out / "potentials.csv", newline="") as fh:
+        saved = np.array([float(row["value"]) for row in csv.DictReader(fh)])
+    by_index = sorted(drawn, key=lambda omega: omega.index)
+    assert np.array_equal(saved, np.concatenate([omega.values for omega in by_index]))
+
+
+@pytest.mark.parametrize(
+    "subcommand,extra,code",
+    [
+        ("walk", {"r_max": 1024}, 0),  # the partial sums overflow
+        ("walk", {"r_max": 1025}, 0),  # a term overflows
+        ("dos", {"r_max": 1023}, 0),  # N_{r+1} exceeds the float range
+        ("dimension", {"fit_window": [5, 1100]}, 2),
+        ("hypothesis", {"r_max": 1100}, 0),  # p_r underflows, N_{r-1} overflows
+    ],
+)
+def test_series_past_the_float_range_exit_cleanly(tmp_path, capsys, subcommand, extra, code):
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert json.loads(err)["error"] == "config"
+        return
+    assert err == ""
+    for name in json.loads((out / "manifest.json").read_text())["files"]:
+        assert "nan" not in (out / name).read_text().lower(), name
+    if subcommand == "walk":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["classification"] == "recurrent"
 
 
 def test_threads_flag_does_not_change_bytes(tmp_path):
@@ -666,7 +725,7 @@ def test_moments_table_matches_row_loop(tmp_path, subcommand):
     report = localization_sweep(t, seq, dist, 12345, 3, (-0.5, 1.5, 9), [0, 2, 4])
     assert not report.ok.all()
     rows = []
-    for i in report.realization_indices:
+    for i in [omega.index for omega in report.potentials]:
         for k, e in enumerate(report.energies):
             skipped = not report.ok[i, k]
             for j, r in enumerate(report.ranks):

@@ -2,6 +2,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ def test_ipr_profile_matches_dense_hamiltonian():
     )
 
 
+def test_ipr_profile_accepts_an_array_potential():
+    t = _t(4)
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(Uniform(0.0, 1.0), t, 5, 0)
+    assert ipr_profile(t, seq, omega.values, 4) == ipr_profile(t, seq, omega, 4)
+    with pytest.raises(ValueError, match="potential must have length 16"):
+        ipr_profile(t, seq, np.zeros(8), 3)
+
+
 @pytest.mark.parametrize("index", range(3))
 def test_ipr_profile_squares_twice(index):
     # sum((v^2)^2) rounds differently from sum(v**4) but only in the last digit
@@ -170,7 +180,7 @@ def test_localization_sweep_shapes_and_determinism():
     seq = GeometricCoupling(4.0)
     grid = (-0.5, 1.5, 41)
     kwargs = dict(
-        ranks=range(t.depth + 1), site=0, ipr_ranks=(t.depth,)
+        ranks=range(t.depth + 1), site=0, ipr_rank=t.depth
     )
     a = localization_sweep(t, seq, Uniform(0.0, 1.0), 7, 3, grid, **kwargs)
     b = localization_sweep(t, seq, Uniform(0.0, 1.0), 7, 3, grid, **kwargs)
@@ -190,8 +200,9 @@ def test_localization_sweep_rank0_ladder():
     report = localization_sweep(
         t, seq, Uniform(0.0, 1.0), 21, 2, (-0.5, 1.5, 11), ranks=(0, 1)
     )
-    for i in report.realization_indices:
+    for i, drawn in enumerate(report.potentials):
         omega = sample_potential(Uniform(0.0, 1.0), t, 21, i)
+        assert drawn.index == i and np.array_equal(drawn.values, omega.values)
         for k, e in enumerate(report.energies):
             if report.ok[i, k]:
                 expected = (omega.values[0] - e) ** -2
@@ -207,7 +218,7 @@ def test_localization_sweep_order_independent_reduction():
     t = _t(4)
     seq = GeometricCoupling(4.0)
     args = (t, seq, Uniform(0.0, 1.0), 3, 4, (-0.5, 1.5, 15))
-    kwargs = dict(ranks=range(5), ipr_ranks=(4,))
+    kwargs = dict(ranks=range(5), ipr_rank=4)
     a = localization_sweep(*args, **kwargs)
     b = localization_sweep(*args, **kwargs, map_fn=reversed_map)
     assert np.array_equal(a.moments, b.moments)
@@ -240,14 +251,13 @@ def test_localization_sweep_runs_one_dense_solve_at_a_time(monkeypatch):
     t = _t(4)
     seq = GeometricCoupling(4.0)
     args = (t, seq, Uniform(0.0, 1.0), 3, 4, (-0.5, 1.5, 15))
-    kwargs = dict(ranks=range(5), ipr_ranks=(3, 4))
+    kwargs = dict(ranks=range(5), ipr_rank=4)
     with ThreadPoolExecutor(2) as pool:
         pooled = localization_sweep(*args, **kwargs, map_fn=pool.map)
-    assert (calls, peak) == (8, 1)
+    assert (calls, peak) == (4, 1)
     serial = localization_sweep(*args, **kwargs)
-    for r in (3, 4):
-        assert np.array_equal(pooled.ipr_values[r], serial.ipr_values[r])
-        assert np.array_equal(pooled.ipr_eigenvalues[r], serial.ipr_eigenvalues[r])
+    assert np.array_equal(pooled.ipr_values, serial.ipr_values)
+    assert np.array_equal(pooled.ipr_eigenvalues, serial.ipr_eigenvalues)
 
 
 def test_localization_sweep_fails_the_ipr_cap_before_any_sweep():
@@ -262,9 +272,23 @@ def test_localization_sweep_fails_the_ipr_cap_before_any_sweep():
     with pytest.raises(DenseCapError, match="dense size 8192 exceeds cap 4096"):
         localization_sweep(
             t, seq, Uniform(0.0, 1.0), 1, 2, (-0.5, 1.5, 5),
-            ranks=range(14), ipr_ranks=(2, 13), map_fn=spy_map,
+            ranks=range(14), ipr_rank=13, map_fn=spy_map,
         )
     assert calls == []
+
+
+def test_localization_report_is_frozen():
+    t = _t(3)
+    seq = GeometricCoupling(4.0)
+    report = localization_sweep(
+        t, seq, Uniform(0.0, 1.0), 5, 2, (-0.5, 1.5, 7), ranks=(0, 3), ipr_rank=3
+    )
+    assert [omega.index for omega in report.potentials] == [0, 1]
+    assert report.ipr_values.shape == report.ipr_eigenvalues.shape == (2, 8)
+    with pytest.raises(FrozenInstanceError):
+        report.mid_ipr_median = 0.0
+    bare = localization_sweep(t, seq, Uniform(0.0, 1.0), 5, 2, (-0.5, 1.5, 7), ranks=(0, 3))
+    assert bare.ipr_rank is bare.ipr_values is bare.mid_ipr_quartiles is None
 
 
 def test_localization_sweep_flags_singular_disorder():
