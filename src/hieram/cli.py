@@ -562,6 +562,11 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
     grid = resolve_grid(cfg, dist)
     r = cfg.get("rank", t.depth)
     u = coupling.PowerSequence(cfg.get("u_exponent", 2.0))
+    if r == 0 and "threshold" not in cfg:
+        raise ConfigError(
+            "bound: the default threshold (u_r N_r)^2 is 0 at rank 0; "
+            "set threshold or use a rank >= 1"
+        )
     threshold = cfg.get("threshold", (u(r) * t.sizes[r]) ** 2)
     site = cfg.get("site", 0)
     draws = range(cfg.get("realizations", 1))

@@ -391,8 +391,9 @@ def fractional_moment_bounds(
     n_r = 1.0
     for r in range(1, r_max + 1):
         n_r *= t.factor(r)
-        lower_terms.append(seq.p(r) * n_r ** (1.0 - s))
-        upper_terms.append(seq.p(r) ** s * n_r ** (1.0 - s))
+        p = seq.p(r)  # as in check_main_hypothesis: 0, not 0 * inf once N_r overflows
+        lower_terms.append(p * n_r ** (1.0 - s) if p else 0.0)
+        upper_terms.append(p**s * n_r ** (1.0 - s) if p else 0.0)
     low_ratio = up_ratio = math.nan
     low_q = up_q = 0.0
     if t.degree is not None and seq.decay is not None:

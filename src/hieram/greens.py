@@ -35,8 +35,7 @@ from .hierarchy import Truncation
 from .operators import potential_values
 
 POLE_TOL = 1e-12
-LADDER_CHUNK = 256  # energies per _sweep call in moment_ladder_sweep
-NORM_CHUNK = 1024  # and in cluster_norm_sweep
+SWEEP_CELLS = 2**17  # energies x sites per sweep chunk: 1 MiB level-0 arrays
 
 
 class PoleProximityError(ArithmeticError):
@@ -72,16 +71,25 @@ class GreenCascade:
         return self.levels[s][x] / math.sqrt(self.trunc.sizes[s])
 
 
-def _child_sums(a, n):
+def _buffer(work, key, shape, dtype=float):
+    """The workspace array under key, cut to shape[0] rows.  It is made at the
+    first request, which must be the largest: a sweep's first chunk is its
+    widest.  The caller owns work, so no two calls share a buffer."""
+    if key not in work:
+        work[key] = np.empty(shape, dtype)
+    return work[key][: shape[0]]
+
+
+def _child_sums(a, n, out):
     """Sums over each run of n consecutive entries of the last axis, the
-    children of a cluster, in child order."""
-    total = a[..., 0::n]
+    children of a cluster, in child order, written into out."""
+    np.copyto(out, a[..., 0::n])
     for j in range(1, n):
-        total = total + a[..., j::n]
-    return total
+        np.add(out, a[..., j::n], out=out)
+    return out
 
 
-def _levels(t, seq, values, z, r):
+def _levels(t, seq, values, z, r, work):
     """The alpha/beta recursion over a 1-D array z of evaluation points.
 
     Yields (denom, alpha, ok) for s = 0..r, arrays of shape (len(z), rank-s
@@ -89,17 +97,25 @@ def _levels(t, seq, values, z, r):
     children's mean alpha; alpha = beta / denom (beta = 1 at s = 0).  ok is
     the running pole mask, False from the first level with |denom| below
     POLE_TOL, past which alpha is not meaningful.  The dtype follows z.
+    denom and alpha are per-level buffers of the workspace dict work.
     """
     ok = np.ones(z.size, dtype=bool)
-    beta, denom = 1.0, values[None, :] - z[:, None]
+    dtype = np.result_type(values, z)
     for s in range(r + 1):
+        shape = (z.size, t.site_count // t.sizes[s])
+        denom = _buffer(work, ("denom", s), shape, dtype)
+        mag = _buffer(work, ("|denom|", s), shape)
+        alpha_s = _buffer(work, ("alpha", s), shape, dtype)  # beta, then alpha
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if s:
                 n_s = t.factor(s)
-                beta = _child_sums(alpha, n_s) / n_s
-                denom = 1.0 + seq.p(s) * beta
-            ok &= np.abs(denom).min(axis=1) >= POLE_TOL
-            alpha = beta / denom
+                beta = np.divide(_child_sums(alpha, n_s, alpha_s), n_s, out=alpha_s)
+                np.add(1.0, np.multiply(seq.p(s), beta, out=denom), out=denom)
+            else:
+                beta = 1.0
+                np.subtract(values[None, :], z[:, None], out=denom)
+            ok &= np.abs(denom, out=mag).min(axis=1) >= POLE_TOL
+            alpha = np.divide(beta, denom, out=alpha_s)
         yield denom, alpha, ok
 
 
@@ -121,7 +137,7 @@ def build_cascade(
     z = complex(z)
     point = np.array([z.real if z.imag == 0.0 else z])
     levels, alphas = [], []
-    for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, point, r)):
+    for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, point, r, {})):
         if not ok[0]:
             raise PoleProximityError(s, z)
         alphas.append(alpha[0])
@@ -186,15 +202,26 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_step(t, w, denom, s, lo):
-    """W_s from W_{s-1} over the rank-s clusters from site lo on, and F_s there."""
+def _w0(alpha, lo, size, work):
+    """W_0 = v_0^2 over the size sites from lo on, in a buffer of work."""
+    part = alpha[:, lo : lo + size]
+    return np.square(part, out=_buffer(work, ("W", 0), part.shape))
+
+
+def _cluster_step(t, w, denom, s, lo, work):
+    """W_s from W_{s-1} over the rank-s clusters from site lo on, and F_s there,
+    both in buffers of work."""
     n_s = t.factor(s)
+    shape = (w.shape[0], w.shape[1] // n_s)
     first = lo // t.sizes[s]
-    f_q = 1.0 / (math.sqrt(n_s) * denom[:, first : first + w.shape[1] // n_s])
-    return _child_sums(w, n_s) * f_q**2, f_q
+    f_q, f_sq, w_s = (_buffer(work, (name, s), shape) for name in ("F", "F^2", "W"))
+    np.multiply(math.sqrt(n_s), denom[:, first : first + shape[1]], out=f_q)
+    np.divide(1.0, f_q, out=f_q)
+    np.multiply(_child_sums(w, n_s, w_s), np.square(f_q, out=f_sq), out=w_s)
+    return w_s, f_q
 
 
-def _sweep(t, seq, values, energies, x, r):
+def _sweep(t, seq, values, energies, x, r, work):
     """Moment ladder S_0..S_r(e) and pole mask over real energies.
 
     Reads the level kernel's denominators d_s and pole mask over every
@@ -225,12 +252,12 @@ def _sweep(t, seq, values, energies, x, r):
     shells = np.empty((r, n_e))
     amps = np.zeros((r, n_e))  # amps[s-1] = A_{s',s} at the current rank s'
     spans = np.empty((r, n_e))  # spans[s-1] = prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
-    levels = _levels(t, seq, values, energies, r)
+    levels = _levels(t, seq, values, energies, r, work)
     _, alpha, ok = next(levels)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_x = alpha[:, x].copy()  # v_s(x), the level vector at x
         g_xx = v_x.copy()  # G_s(x, x)
-        w = alpha[:, lo : lo + sizes[r]] ** 2  # W_s over the rank-s clusters of Q_r(x)
+        w = _w0(alpha, lo, sizes[r], work)  # W_s over the rank-s clusters of Q_r(x)
         moments[0] = g_xx**2
         for s, (denom, _, ok) in enumerate(levels, start=1):
             n_s = t.factor(s)
@@ -238,7 +265,7 @@ def _sweep(t, seq, values, energies, x, r):
             child = (x - lo) // sizes[s - 1] % n_s
             siblings = np.delete(w[:, parent * n_s : (parent + 1) * n_s], child, axis=1)
             shells[s - 1] = siblings.sum(axis=1)
-            w, f_q = _cluster_step(t, w, denom, s, lo)
+            w, f_q = _cluster_step(t, w, denom, s, lo, work)
 
             p_s = seq.p(s)
             b = p_s * sizes[s - 1] / math.sqrt(sizes[s]) * (v_x / math.sqrt(sizes[s - 1]))
@@ -253,29 +280,30 @@ def _sweep(t, seq, values, energies, x, r):
     return moments, ok
 
 
-def _norm_sweep(t, seq, values, energies, x, r):
+def _norm_sweep(t, seq, values, energies, x, r, work):
     """Cluster norm N_r W_r(Q_r(x)) and pole mask over real energies: the W_s
     recursion of _sweep alone, without shells, amplitudes or moments."""
     lo = (x // t.sizes[r]) * t.sizes[r]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, energies, r)):
+        for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, energies, r, work)):
             if s:
-                w = _cluster_step(t, w, denom, s, lo)[0]
+                w = _cluster_step(t, w, denom, s, lo, work)[0]
             else:
-                w = alpha[:, lo : lo + t.sizes[r]] ** 2
-            del denom, alpha  # so the kernel frees them as it builds the next level
+                w = _w0(alpha, lo, t.sizes[r], work)
     return t.sizes[r] * w[:, 0], ok
 
 
-def _sweep_grid(sweep, t, seq, omega, energies, r, x, chunk):
-    """sweep (_sweep or _norm_sweep) over a grid of real energies, chunk
-    energies at a time; each output is joined along its energy axis."""
+def _sweep_grid(sweep, t, seq, omega, energies, r, x):
+    """sweep (_sweep or _norm_sweep) over a grid of real energies, in chunks of
+    SWEEP_CELLS // N energies that share one workspace; each output is joined
+    along its energy axis."""
     t.check_rank(r)
     t.check_site(x)
     values = potential_values(t, omega)
     energies = np.asarray(energies, dtype=float)
+    chunk, work = max(1, SWEEP_CELLS // t.site_count), {}
     parts = [
-        sweep(t, seq, values, energies[lo : lo + chunk], x, r)
+        sweep(t, seq, values, energies[lo : lo + chunk], x, r, work)
         for lo in range(0, max(energies.size, 1), chunk)
     ]
     return tuple(np.concatenate(out, axis=-1) for out in zip(*parts))
@@ -295,7 +323,7 @@ def moment_ladder_sweep(
     points within pole tolerance of the finite-volume spectrum are flagged
     False in ok and their moments are not meaningful.
     """
-    return _sweep_grid(_sweep, t, seq, omega, energies, r_max, x, LADDER_CHUNK)
+    return _sweep_grid(_sweep, t, seq, omega, energies, r_max, x)
 
 
 def cluster_norm_sweep(
@@ -311,4 +339,4 @@ def cluster_norm_sweep(
     The indicator solve is sqrt(N_r) times the cascade's phi solve, so the
     squared norm is N_r times the squared norm of the rank-r level vector.
     """
-    return _sweep_grid(_norm_sweep, t, seq, omega, energies, r, x, NORM_CHUNK)
+    return _sweep_grid(_norm_sweep, t, seq, omega, energies, r, x)

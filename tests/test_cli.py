@@ -283,6 +283,28 @@ def test_bound_pole_only_grid_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", [None, 2.0])
+def test_bound_rank0_needs_a_threshold(tmp_path, capsys, threshold):
+    # the default threshold (u_r N_r)^2 vanishes at r = 0, since u_0 = 0
+    extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "rank": 0}
+    if threshold is not None:
+        extra["threshold"] = threshold
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "o"
+    code = main(["bound", "--config", config, "--out", str(out)])
+    if threshold is not None:
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["threshold"] == threshold
+        return
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "detail": "bound: the default threshold (u_r N_r)^2 is 0 at rank 0; "
+        "set threshold or use a rank >= 1",
+    }
+    assert not out.exists()
+
+
 def test_output_reproducible_from_manifest_alone(tmp_path):
     extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "realizations": 2}
     config = write_config(tmp_path, base_config(**extra))
@@ -349,6 +371,11 @@ def test_each_realization_is_drawn_once(tmp_path, monkeypatch, subcommand):
         ("dos", {"r_max": 1023}, 0),  # N_{r+1} exceeds the float range
         ("dimension", {"fit_window": [5, 1100]}, 2),
         ("hypothesis", {"r_max": 1100}, 0),  # p_r underflows, N_{r-1} overflows
+        (  # the fractional-moment series: p_r underflows, N_r overflows at r >= 193
+            "hypothesis",
+            {"hierarchy": {"degree": 40, "depth": 2}, "coupling": {"family": "geometric", "rho": 1000.0}},
+            0,
+        ),
     ],
 )
 def test_series_past_the_float_range_exit_cleanly(tmp_path, capsys, subcommand, extra, code):
@@ -362,9 +389,13 @@ def test_series_past_the_float_range_exit_cleanly(tmp_path, capsys, subcommand, 
     assert err == ""
     for name in json.loads((out / "manifest.json").read_text())["files"]:
         assert "nan" not in (out / name).read_text().lower(), name
+    summary = json.loads((out / "summary.json").read_text())
     if subcommand == "walk":
-        summary = json.loads((out / "summary.json").read_text())
         assert summary["classification"] == "recurrent"
+    if subcommand == "hypothesis":
+        for bound in ("lower", "upper"):
+            if summary[f"fractional_moment_{bound}_converges"]:
+                assert math.isfinite(summary[f"fractional_moment_{bound}"])
 
 
 def test_threads_flag_does_not_change_bytes(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hieram import (
     hamiltonian,
     sample_potential,
 )
+from hieram import greens
 from hieram.disorder import PotentialSample
 from hieram.greens import cluster_norm_sweep, moment_ladder_sweep
 
@@ -437,3 +440,89 @@ def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist, data):
         assert ok.tolist() == [not flag for flag in raised]
         if factors is not None:
             assert not ok.all()
+
+
+# ---------------------------------------------------------------------------
+# the sweep workspace: chunking changes no bit, no two calls share a buffer,
+# and nothing returned is a view into one
+# ---------------------------------------------------------------------------
+
+
+def _both_sweeps(t, seq, omega, energies, x):
+    ladder, ok = moment_ladder_sweep(t, seq, omega, energies, t.depth, x)
+    norm2, ok_norm = cluster_norm_sweep(t, seq, omega, energies, t.depth - 1, x)
+    return ladder, ok, norm2, ok_norm
+
+
+@pytest.mark.parametrize("factors", [[2] * 6, [3, 2, 3], [4, 2, 4], [3, 2, 4, 2, 3]])
+@pytest.mark.parametrize("site", ["first", "middle", "last"])
+def test_sweep_chunking_never_changes_a_bit(monkeypatch, factors, site):
+    t = build_truncation(HierarchySpec.explicit(factors))
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(Gaussian(0.0, 1.0), t, 7, 0)
+    n = t.site_count
+    x = {"first": 0, "middle": n // 2 + 1, "last": n - 1}[site]
+    # five free energies and two level-0 poles, so some chunks hold masked points
+    energies = np.concatenate([np.linspace(-2.0, 2.5, 5), omega.values[[1, -2]]])
+    whole = _both_sweeps(t, seq, omega, energies, x)  # 7 N cells fit one chunk
+    assert not whole[1].all() and whole[1].any()
+    # one energy per chunk, then chunks of 3, 3 and a ragged 1
+    for cells in (1, 3 * n):
+        monkeypatch.setattr(greens, "SWEEP_CELLS", cells)
+        for got, want in zip(_both_sweeps(t, seq, omega, energies, x), whole):
+            # bit for bit, the NaNs at the masked points included
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_pooled_sweeps_equal_serial_sweeps(monkeypatch):
+    # many small chunks per call, so the four pool threads interleave chunks
+    t, seq, _ = _setup(depth=8)
+    monkeypatch.setattr(greens, "SWEEP_CELLS", 3 * t.site_count)
+    draws = [sample_potential(Uniform(0.0, 1.0), t, 23, i) for i in range(4)]
+    energies = np.linspace(-0.5, 1.5, 301)
+
+    def ladder(omega):
+        return moment_ladder_sweep(t, seq, omega, energies, t.depth, 5)
+
+    serial = list(map(ladder, draws))
+    with ThreadPoolExecutor(4) as pool:
+        pooled = list(pool.map(ladder, draws))
+    for (moments, ok), (moments_pool, ok_pool) in zip(serial, pooled):
+        assert np.array_equal(moments, moments_pool) and np.array_equal(ok, ok_pool)
+
+
+@pytest.mark.parametrize("sweep", [moment_ladder_sweep, cluster_norm_sweep])
+def test_sweep_results_are_not_workspace_views(sweep):
+    t, seq, omega = _setup(depth=6)
+    energies = np.linspace(-0.5, 1.5, 41)
+    first = sweep(t, seq, omega, energies, t.depth, 3)
+    kept = [a.copy() for a in first]
+    second = sweep(t, seq, sample_potential(Uniform(0.0, 1.0), t, 17, 1), energies, t.depth, 3)
+    for a, b, c in zip(first, second, kept):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, c)
+
+
+def test_second_cascade_leaves_the_first_unchanged():
+    t, seq, omega = _setup(depth=5)
+    first = build_cascade(t, seq, omega, 0.3)
+    levels = [a.copy() for a in first.levels]
+    alphas = [a.copy() for a in first.alphas]
+    build_cascade(t, seq, sample_potential(Uniform(0.0, 1.0), t, 17, 1), 0.7)
+    assert all(np.array_equal(a, b) for a, b in zip(first.levels, levels))
+    assert all(np.array_equal(a, b) for a, b in zip(first.alphas, alphas))
+
+
+@pytest.mark.parametrize("sweep", [moment_ladder_sweep, cluster_norm_sweep])
+def test_sweep_memory_does_not_grow_with_n(sweep):
+    # N = 16384 over 257 energies: whole-grid level arrays would be 32 MiB each
+    t, seq, omega = _setup(depth=14)
+    energies = np.linspace(-0.5, 1.5, 257)
+    tracemalloc.start()
+    try:
+        sweep(t, seq, omega, energies, t.depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
