@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import numbers
+import operator
 import os
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, coupling, diagnostics, disorder, greens, operators, spectral
@@ -128,6 +130,76 @@ CONFIG_SCHEMA = {
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+# JSON Schema's types: bools are neither numbers nor integers, and a float
+# with no fractional part is an integer
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()
+    ),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way value breaks schema.
+
+    Knows the keywords CONFIG_SCHEMA uses, visits them in jsonschema's order
+    and words each violation as jsonschema does.
+    """
+    is_array, is_object = isinstance(value, list), isinstance(value, dict)
+    for key, rule in schema.items():
+        if key == "type":
+            if not _IS_TYPE[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS:
+            fails, text = _BOUNDS[key]
+            if _IS_TYPE["number"](value) and fails(value, rule):
+                yield path, f"{value!r} is {text} {rule!r}"
+        elif key == "minItems":
+            if is_array and len(value) < rule:
+                text = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {text}"
+        elif key == "maxItems":
+            if is_array and len(value) > rule:
+                text = "is expected to be empty" if rule == 0 else "is too long"
+                yield path, f"{value!r} {text}"
+        elif key == "items":
+            for index, item in enumerate(value if is_array else ()):
+                yield from _violations(item, rule, (*path, index))
+        elif key == "properties":
+            for name, sub in rule.items():
+                if is_object and name in value:
+                    yield from _violations(value[name], sub, (*path, name))
+        elif key == "required":
+            for name in rule:
+                if is_object and name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and rule is False:
+            known = schema.get("properties", {})
+            extras = sorted(k for k in value if k not in known) if is_object else []
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                text = f"({listed} {verb} unexpected)"
+                yield path, f"Additional properties are not allowed {text}"
+        else:
+            raise KeyError(f"unsupported schema keyword {key!r}")
 
 
 def columns(header: list[str], *values) -> np.ndarray:
@@ -270,20 +342,41 @@ def _jsonable(x):
 # ---------------------------------------------------------------------------
 
 
+def _finite(text: str, kind=float):
+    """A JSON number or NaN/Infinity literal as kind, if it is a finite float."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"config numbers must be finite floats, got {text}")
+    return kind(text)
+
+
 def load_config(path: str) -> dict:
-    """Read a config file; main validates it once the overrides are in."""
+    """Read a config file; main validates it once the overrides are in.
+
+    NaN, Infinity and numbers past the float range (1e400) are refused here:
+    no config key takes them, and runs given them wrote wrong rows.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(
+                fh,
+                parse_float=_finite,
+                parse_int=functools.partial(_finite, kind=int),
+                parse_constant=_finite,
+            )
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def validate_config(config):
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    """Refuse a config outside CONFIG_SCHEMA with the violation jsonschema's
+    validate reports (its best_match): the shallowest, then the one with the
+    greatest instance path, then the first found.  best_match's last
+    tie-break, whether the value is off its schema's type, never decides
+    here: without combinators, violations at one path share one schema."""
+    errors = list(_violations(config, CONFIG_SCHEMA))
+    if errors:
+        _, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        raise ConfigError(f"config schema violation: {message}")
 
 
 def resolve_hierarchy(cfg: dict) -> HierarchySpec:
@@ -333,6 +426,8 @@ def resolve_grid(cfg: dict, dist) -> tuple[float, float, int]:
         lo, hi = -half, 1.0 + half
     if not hi > lo:
         raise ConfigError(f"energy_grid: need max > min, got [{lo}, {hi}]")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ConfigError(f"energy_grid: max - min overflows, got [{lo}, {hi}]")
     return float(lo), float(hi), int(points)
 
 

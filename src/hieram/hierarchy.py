@@ -166,17 +166,20 @@ def build_truncation(spec: HierarchySpec) -> Truncation:
 def distance_matrix(t: Truncation, m: int | None = None) -> np.ndarray:
     """Pairwise hierarchical distances of the first m sites (default: all).
 
-    d(x, y) equals the number of ranks s with x // N_s != y // N_s, since the
-    block indices agree exactly from rank d(x, y) upward.
+    d(x, y) is the smallest rank s whose block holds both x and y.  So the
+    matrix starts at the depth, and each level from the top down writes s
+    into its diagonal rank-s blocks (the full ones through a block-diagonal
+    view, then the ragged tail), overwriting the coarser levels.
     """
     if m is None:
         m = t.site_count
     if not 0 < m <= t.site_count:
         raise ValueError(f"m must be in [1, {t.site_count}], got {m}")
-    x = np.arange(m, dtype=np.int64)
     dtype = np.uint8 if t.depth < 256 else np.int64
-    d = np.zeros((m, m), dtype=dtype)
-    for s in range(t.depth):
-        blocks = x // t.sizes[s]
-        d += (blocks[:, None] != blocks[None, :]).astype(dtype)
+    d = np.full((m, m), t.depth, dtype=dtype)
+    for s in range(t.depth - 1, -1, -1):
+        n = t.sizes[s]
+        k = m // n
+        np.einsum("ijik->ijk", d[: k * n, : k * n].reshape(k, n, k, n))[...] = s
+        d[k * n :, k * n :] = s
     return d

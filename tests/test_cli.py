@@ -1,11 +1,17 @@
 import csv
+import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hieram import (
     Bernoulli,
@@ -20,7 +26,7 @@ from hieram import (
     localization_sweep,
     restricted_full_spectrum,
 )
-from hieram.cli import OutputWriter, columns, main
+from hieram.cli import CONFIG_SCHEMA, OutputWriter, columns, main
 from hieram.operators import compression_dense_block, cutoff_dense_block
 
 
@@ -764,3 +770,211 @@ def test_moments_table_matches_row_loop(tmp_path, subcommand):
                 rows.append((12345, i, e, r, value, skipped))
     header = ["seed", "index", "e", "r", "S_r", "skipped"]
     assert (out / "moments.csv").read_bytes() == _reference("csv", header, rows)
+
+
+@pytest.mark.parametrize(
+    "key,raw",
+    [
+        pytest.param("energy_grid", '{"min": -1, "max": Infinity, "points": 9}', id="max-inf"),
+        pytest.param("energy_grid", '{"min": -Infinity, "max": 1, "points": 9}', id="min-neg-inf"),
+        pytest.param("energy_grid", '{"min": -1e308, "max": 1e308, "points": 9}', id="width-overflows"),
+        pytest.param("disorder", '{"kind": "uniform", "center": Infinity, "width": 1}', id="center-inf"),
+        pytest.param("disorder", '{"kind": "gaussian", "mean": NaN, "sigma": 1}', id="mean-nan"),
+        pytest.param("threshold", "Infinity", id="threshold-inf"),
+        pytest.param("threshold", "1e400", id="threshold-1e400"),
+        pytest.param("threshold", "1" + "0" * 400, id="threshold-int-past-float"),
+        pytest.param("u_exponent", "Infinity", id="u-exponent-inf"),
+    ],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, key, raw):
+    # each of these once ran: NaN or 0 measures with pass = true, M = inf, or
+    # an overflowing linspace
+    cfg = base_config(rank=4, energy_grid={"min": -0.5, "max": 1.5, "points": 101})
+    cfg[key] = "@"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"@"', raw))
+    out = tmp_path / "o"
+    assert main(["bound", "--config", str(config), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+def test_cli_runs_without_importing_jsonschema(tmp_path):
+    # jsonschema and its packages were a third of the start-up time
+    argv = ["walk", "--config", write_config(tmp_path, base_config(unknown_field=1))]
+    code = (
+        "import sys\n"
+        "from hieram import cli\n"
+        f"assert cli.main({argv + ['--out', str(tmp_path / 'o')]!r}) == 2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
+    )
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+# --- the config walker against jsonschema, its oracle ----------------------
+
+_BOUND_KEYS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+
+
+def _draw_valid(data, schema):
+    """A value that satisfies schema."""
+    if "enum" in schema:
+        return data.draw(st.sampled_from(schema["enum"]))
+    kind = schema["type"]
+    if kind == "object":
+        required = schema.get("required", [])
+        optional = [k for k in schema["properties"] if k not in required]
+        if optional:
+            required = required + data.draw(st.lists(st.sampled_from(optional), unique=True))
+        return {k: _draw_valid(data, schema["properties"][k]) for k in required}
+    if kind == "array":
+        size = data.draw(st.integers(schema.get("minItems", 0), schema.get("maxItems", 3)))
+        return [_draw_valid(data, schema["items"]) for _ in range(size)]
+    if kind == "boolean":
+        return data.draw(st.booleans())
+    if kind == "string":
+        return data.draw(st.text(max_size=3))
+    lo = schema.get("minimum", schema.get("exclusiveMinimum", -4))
+    hi = schema.get("maximum", schema.get("exclusiveMaximum", lo + 40))
+    if kind == "integer":
+        return data.draw(st.integers(lo, hi))
+    values = st.floats(
+        lo, hi, exclude_min="exclusiveMinimum" in schema, exclude_max="exclusiveMaximum" in schema
+    )
+    if hi - lo > 2:
+        values |= st.integers(math.floor(lo) + 1, math.ceil(hi) - 1)
+    return data.draw(values)
+
+
+# one value of each JSON type; integer and number share 3
+_OF_TYPE = {
+    "object": {"k": 1},
+    "array": [1],
+    "string": "text",
+    "boolean": True,
+    "integer": 3,
+    "number": 3,
+}
+
+
+def _draw_mutant(data, schema):
+    """A value that breaks schema once, at its root; "float" for an integer
+    may also be valid (2.0 is an integer)."""
+    kind = schema.get("type")
+    ways = ["type"] + ["bound"] * any(k in schema for k in _BOUND_KEYS)
+    ways += {
+        "integer": ["bool", "fraction", "float"],
+        "array": ["short"] * ("minItems" in schema) + ["long"] * ("maxItems" in schema),
+        "object": ["extra"] + ["missing"] * ("required" in schema),
+    }.get(kind, [])
+    way = data.draw(st.sampled_from(ways), label="way")
+    if way == "type":  # off the type, or outside the enum
+        fits = schema.get("enum", [_OF_TYPE.get(kind)])
+        return data.draw(st.sampled_from([v for v in [None, *_OF_TYPE.values()] if v not in fits]))
+    if way == "bound":
+        key = data.draw(st.sampled_from([k for k in _BOUND_KEYS if k in schema]))
+        step = {"minimum": -1, "maximum": 1, "exclusiveMinimum": 0, "exclusiveMaximum": 0}[key]
+        value = schema[key] + step
+        return value if kind == "integer" else data.draw(st.sampled_from([value, float(value)]))
+    if way == "bool":
+        return data.draw(st.booleans())
+    if way in ("fraction", "float"):
+        lo = schema.get("minimum", 0)
+        return lo + 0.5 if way == "fraction" else float(data.draw(st.integers(lo, lo + 9)))
+    if kind == "array":
+        size = schema["minItems"] - 1 if way == "short" else schema["maxItems"] + 1
+        return [_draw_valid(data, schema["items"]) for _ in range(size)]
+    value = _draw_valid(data, schema)
+    if way == "extra":  # jsonschema lists the extra keys sorted
+        extras = st.lists(st.sampled_from(["zz", "extra", "Hierarchy"]), min_size=1, unique=True)
+        value.update(dict.fromkeys(data.draw(extras), 1))
+    else:
+        del value[data.draw(st.sampled_from(schema["required"]))]
+    return value
+
+
+def _draw_with_mutants(data, schema, paths):
+    """A value of schema with one mutant at each path, a tuple of property
+    names and item indices (always 0)."""
+    if () in paths:
+        return _draw_mutant(data, schema)
+    if "items" in schema:
+        items = [_draw_valid(data, schema["items"]) for _ in range(schema.get("minItems", 1))]
+        items[0] = _draw_with_mutants(data, schema["items"], {p[1:] for p in paths})
+        return items
+    value = _draw_valid(data, schema)
+    for name in {p[0] for p in paths}:
+        inner = {p[1:] for p in paths if p[0] == name}
+        value[name] = _draw_with_mutants(data, schema["properties"][name], inner)
+    return value
+
+
+def _node_paths(schema, path=()):
+    """The path of every node of schema."""
+    yield path
+    for name, sub in schema.get("properties", {}).items():
+        yield from _node_paths(sub, (*path, name))
+    if "items" in schema:
+        yield from _node_paths(schema["items"], (*path, 0))
+
+
+NODE_PATHS = list(_node_paths(CONFIG_SCHEMA))
+
+
+@functools.cache
+def _jsonschema_validator():
+    # jsonschema.validate without its per-call schema check: the validator
+    # class for the schema, and best_match over its errors
+    jsonschema = pytest.importorskip("jsonschema")
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return jsonschema, cls(CONFIG_SCHEMA)
+
+
+def _jsonschema_message(config):
+    jsonschema, validator = _jsonschema_validator()
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    return None if error is None else error.message
+
+
+def test_jsonschema_oracle_is_validate():
+    jsonschema, _ = _jsonschema_validator()
+    config = base_config(seed=-1, hierarchy={"degree": True})
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    assert _jsonschema_message(config) == exc.value.message
+
+
+def _walker_message(config):
+    try:
+        cli.validate_config(config)
+    except cli.ConfigError as exc:
+        return str(exc).removeprefix("config schema violation: ")
+    return None
+
+
+@given(data=st.data())
+def test_walker_accepts_what_jsonschema_accepts(data):
+    config = _draw_valid(data, CONFIG_SCHEMA)
+    assert _walker_message(config) is None is _jsonschema_message(config)
+
+
+@pytest.mark.parametrize("path", NODE_PATHS, ids=lambda p: ".".join(map(str, p)) or "root")
+@settings(max_examples=5)
+@given(data=st.data())
+def test_walker_matches_jsonschema_on_single_violations(path, data):
+    config = _draw_with_mutants(data, CONFIG_SCHEMA, {path})
+    assert _walker_message(config) == _jsonschema_message(config)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_walker_matches_jsonschema_on_several_violations(data):
+    # best_match: the shallowest error, then the greatest path
+    paths = data.draw(st.sets(st.sampled_from(NODE_PATHS[1:]), min_size=2, max_size=4))
+    config = _draw_with_mutants(data, CONFIG_SCHEMA, paths)
+    assert _walker_message(config) == _jsonschema_message(config)

@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hieram import ClusterId, HierarchySpec, build_truncation
 from hieram.hierarchy import MAX_SITES, distance_matrix
@@ -153,3 +156,42 @@ def test_distance_matrix_matches_pairwise_queries():
     assert distance_matrix(t, 4).shape == (4, 4)
     with pytest.raises(ValueError):
         distance_matrix(t, 0)
+
+
+def distance_matrix_oracle(t, m):
+    """d(x, y) as the number of ranks s < R with x // N_s != y // N_s, one
+    full m x m compare per rank."""
+    x = np.arange(m, dtype=np.int64)
+    dtype = np.uint8 if t.depth < 256 else np.int64
+    d = np.zeros((m, m), dtype=dtype)
+    for s in range(t.depth):
+        blocks = x // t.sizes[s]
+        d += (blocks[:, None] != blocks[None, :]).astype(dtype)
+    return d
+
+
+@given(data=st.data())
+def test_distance_matrix_matches_the_per_rank_oracle(data):
+    # up to 4^5 = 1024 sites; the empty plan is the one-site lattice
+    factors = data.draw(st.lists(st.integers(2, 4), max_size=5), label="factors")
+    t = build_truncation(HierarchySpec.explicit(factors))
+    m = data.draw(st.integers(1, t.site_count), label="m")
+    d = distance_matrix(t, m)
+    oracle = distance_matrix_oracle(t, m)
+    assert d.dtype == oracle.dtype
+    assert np.array_equal(d, oracle)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HierarchySpec.homogeneous(2, 10),
+        HierarchySpec.homogeneous(2, 12),
+        HierarchySpec.homogeneous(3, 7),
+        HierarchySpec.explicit([2, 3, 2, 3, 2]),
+    ],
+)
+def test_distance_matrix_at_scale_matches_the_oracle(spec):
+    t = build_truncation(spec)
+    for m in (t.site_count, t.site_count // 2 + 3, 1):
+        assert np.array_equal(distance_matrix(t, m), distance_matrix_oracle(t, m))
