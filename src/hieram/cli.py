@@ -379,6 +379,18 @@ def validate_config(config):
         raise ConfigError(f"config schema violation: {message}")
 
 
+def _as_integers(value, schema: dict):
+    """value with the floats at "integer" nodes of schema (such as 2.0) as ints."""
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        return {k: _as_integers(v, known.get(k, {})) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_integers(v, schema.get("items", {})) for v in value]
+    return value
+
+
 def resolve_hierarchy(cfg: dict) -> HierarchySpec:
     h = cfg["hierarchy"]
     if "degree" in h and "branching" in h:
@@ -739,6 +751,7 @@ def main(argv=None) -> int:
         if isinstance(config, dict):
             config.update((k, v) for k, v in overrides.items() if v is not None)
         validate_config(config)
+        config = _as_integers(config, CONFIG_SCHEMA)
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out_dir = Path(config.get("output_dir", "hieram-out"))

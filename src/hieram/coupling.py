@@ -237,15 +237,19 @@ def make_coupling(family: str, **params) -> CouplingSequence:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Summability evidence for one hypothesis series."""
+    """Summability evidence for one series: terms, partial sums, verdict, the
+    value (partial sum plus tail completion, inf if divergent) and the
+    analytic ratio (NaN without a closed form)."""
 
     condition: str
-    u: PowerSequence
+    u: PowerSequence | None
     r_values: tuple[int, ...]
     terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
     last_term: float
     verdict: str
+    value: float
+    ratio: float
 
     @property
     def converges(self) -> bool | None:
@@ -280,25 +284,47 @@ def _numeric_verdict(terms: np.ndarray, partial_sums: np.ndarray) -> str:
     return INCONCLUSIVE
 
 
-def _unplaced_verdict(seq: CouplingSequence, r_max: int) -> str | None:
-    """INCONCLUSIVE if mass lies past r_max yet p(r_max) = 0: no term carries it."""
-    return INCONCLUSIVE if seq.tail(r_max) > 0.0 and seq.p(r_max) == 0.0 else None
-
-
-def _series_report(condition, u, terms, verdict) -> HypothesisReport:
+def _series(condition, u, terms, seq, ratio, poly_exponent) -> HypothesisReport:
+    """The report on terms r = 1..len(terms) of a series in seq's weights.
+    Its verdict is analytic if the ratio is known, else INCONCLUSIVE if mass
+    lies past the last term while its p_r = 0, else the numeric heuristic."""
     terms = np.asarray(terms, dtype=float)
     sums = np.cumsum(terms)
-    if verdict is None:
+    r_max, completion = len(terms), 0.0
+    if not math.isnan(ratio):
+        verdict = _analytic_verdict(ratio, poly_exponent)
+        if ratio < 1.0:  # the geometric tail past r_max
+            completion = terms[-1] * ratio / (1.0 - ratio)
+    elif seq.tail(r_max) > 0.0 and seq.p(r_max) == 0.0:
+        verdict = INCONCLUSIVE
+    else:
         verdict = _numeric_verdict(terms, sums)
+    diverges = verdict in (DIVERGES_ANALYTIC, DIVERGES_NUMERIC)
     return HypothesisReport(
         condition=condition,
         u=u,
-        r_values=tuple(range(1, len(terms) + 1)),
+        r_values=tuple(range(1, r_max + 1)),
         terms=tuple(terms),
         partial_sums=tuple(sums),
         last_term=float(terms[-1]),
         verdict=verdict,
+        value=math.inf if diverges else float(sums[-1] + completion),
+        ratio=ratio,
     )
+
+
+def main_hypothesis_terms(
+    seq: CouplingSequence, t: Truncation | HierarchySpec, u: PowerSequence, r_max: int
+) -> list[float]:
+    """p_r N_{r-1} u_{r-1} u_r for r = 1..r_max; a zero or underflowed p_r
+    gives 0, not 0 * inf once N_{r-1} overflows."""
+    terms = []
+    n_prev = 1.0
+    for r in range(1, r_max + 1):
+        p = seq.p(r)
+        terms.append(p * n_prev * u(r - 1) * u(r) if p else 0.0)
+        n_prev *= t.factor(r)
+    return terms
 
 
 def check_main_hypothesis(
@@ -310,17 +336,10 @@ def check_main_hypothesis(
     """Evaluate sum_r p_r N_{r-1} u_{r-1} u_r, the localization hypothesis."""
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
-    terms = []
-    n_prev = 1.0
-    for r in range(1, r_max + 1):
-        p = seq.p(r)  # a zero or underflowed p_r: 0, not 0 * inf once N overflows
-        terms.append(p * n_prev * u(r - 1) * u(r) if p else 0.0)
-        n_prev *= t.factor(r)
-    verdict = _unplaced_verdict(seq, r_max)
-    if t.degree is not None and seq.decay is not None:
-        a, q = seq.decay
-        verdict = _analytic_verdict(t.degree / a, 2.0 * u.exponent + q)
-    return _series_report("main", u, terms, verdict)
+    terms = main_hypothesis_terms(seq, t, u, r_max)
+    a, q = seq.decay or (1.0, 0.0)
+    ratio = t.degree / a if t.degree is not None and seq.decay else math.nan
+    return _series("main", u, terms, seq, ratio, 2.0 * u.exponent + q)
 
 
 def check_molchanov_condition(
@@ -332,20 +351,9 @@ def check_molchanov_condition(
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
     terms = [seq.p(r) * u(r) for r in range(1, r_max + 1)]
-    verdict = _unplaced_verdict(seq, r_max)
-    if seq.decay is not None:
-        a, q = seq.decay
-        verdict = _analytic_verdict(1.0 / a, u.exponent + q)
-    return _series_report("molchanov", u, terms, verdict)
-
-
-@dataclass(frozen=True)
-class SeriesEstimate:
-    """Partial sum with tail completion, or inf for a diverging series."""
-
-    value: float
-    ratio: float
-    converges: bool | None
+    a, q = seq.decay or (1.0, 0.0)
+    ratio = 1.0 / a if seq.decay else math.nan
+    return _series("molchanov", u, terms, seq, ratio, u.exponent + q)
 
 
 @dataclass(frozen=True)
@@ -353,25 +361,8 @@ class FractionalMomentBounds:
     """Bracket for the fractional-moment kernel sum at exponent s."""
 
     s: float
-    lower: SeriesEstimate
-    upper: SeriesEstimate
-
-
-def _bracket_series(terms, ratio, poly_exponent, verdict) -> SeriesEstimate:
-    """Analytic estimate if the ratio is known, else by verdict (default: numeric)."""
-    terms = np.asarray(terms, dtype=float)
-    sums = np.cumsum(terms)
-    if not math.isnan(ratio):
-        verdict = _analytic_verdict(ratio, poly_exponent)
-        if verdict == CONVERGES_ANALYTIC:
-            completion = terms[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else 0.0
-            return SeriesEstimate(float(sums[-1] + completion), ratio, True)
-        return SeriesEstimate(math.inf, ratio, False)
-    verdict = verdict or _numeric_verdict(terms, sums)
-    if verdict == DIVERGES_NUMERIC:
-        return SeriesEstimate(math.inf, ratio, False)
-    converges = True if verdict == CONVERGES_NUMERIC else None
-    return SeriesEstimate(float(sums[-1]), ratio, converges)
+    lower: HypothesisReport
+    upper: HypothesisReport
 
 
 def fractional_moment_bounds(
@@ -394,17 +385,14 @@ def fractional_moment_bounds(
         p = seq.p(r)  # as in check_main_hypothesis: 0, not 0 * inf once N_r overflows
         lower_terms.append(p * n_r ** (1.0 - s) if p else 0.0)
         upper_terms.append(p**s * n_r ** (1.0 - s) if p else 0.0)
-    low_ratio = up_ratio = math.nan
-    low_q = up_q = 0.0
+    low_ratio, up_ratio, q = math.nan, math.nan, 0.0
     if t.degree is not None and seq.decay is not None:
         # p_r N_r^{1-s} and p_r^s N_r^{1-s} ~ r^q and r^{sq} times a ratio^r
         a, q = seq.decay
         low_ratio = t.degree ** (1.0 - s) / a
         up_ratio = t.degree ** (1.0 - s) / a**s
-        low_q, up_q = q, s * q
-    unplaced = _unplaced_verdict(seq, r_max)
     return FractionalMomentBounds(
         s=s,
-        lower=_bracket_series(lower_terms, low_ratio, low_q, unplaced),
-        upper=_bracket_series(upper_terms, up_ratio, up_q, unplaced),
+        lower=_series("fractional_moment_lower", None, lower_terms, seq, low_ratio, q),
+        upper=_series("fractional_moment_upper", None, upper_terms, seq, up_ratio, s * q),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greens, operators
-from .coupling import CouplingSequence, PowerSequence
+from .coupling import CouplingSequence, PowerSequence, main_hypothesis_terms
 from .disorder import DistributionSpec, PotentialSample, sample_potential
 from .hierarchy import Truncation
 
@@ -82,8 +82,10 @@ def measure_bound_check(
 class SummabilityLedger:
     """The two series the localization argument needs, via M_r = (u_r N_r)^2.
 
-    The first column sums N_r / sqrt(M_r), which equals 1/u_r algebraically;
-    the second sums p_r sqrt(M_r M_{r-1}) / N_r = p_r N_{r-1} u_{r-1} u_r.
+    The first column sums N_r / sqrt(M_r) = 1/u_r; the second sums
+    p_r sqrt(M_r M_{r-1}) / N_r = p_r N_{r-1} u_{r-1} u_r.  Both are taken
+    from these identities, so they hold past the float range of M_r, where
+    the thresholds read inf.
     """
 
     r_values: np.ndarray
@@ -105,18 +107,22 @@ def borel_cantelli_profile(
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     rs = np.arange(1, r_max + 1)
-    sizes = np.array([float(t.size(r)) for r in rs])
+    sizes, n_r = np.empty(r_max), 1
+    for k, r in enumerate(rs.tolist()):
+        n_r *= t.factor(r)
+        try:
+            sizes[k] = n_r
+        except OverflowError:  # N_r beyond the float range
+            sizes[k] = math.inf
     u_vals = np.array([u(r) for r in rs])
-    thresholds = (u_vals * sizes) ** 2
-    sqrt_m = np.sqrt(thresholds)
-    coverage = sizes / sqrt_m
-    prev_sqrt_m = np.concatenate([[0.0], sqrt_m[:-1]])
-    p_vals = np.array([seq.p(r) for r in rs])
-    hypothesis = p_vals * sqrt_m * prev_sqrt_m / sizes
+    with np.errstate(over="ignore"):
+        thresholds = (u_vals * sizes) ** 2
+    coverage = 1.0 / u_vals
+    hypothesis = np.array(main_hypothesis_terms(seq, t, u, r_max))
     return SummabilityLedger(
         r_values=rs,
         thresholds=thresholds,
-        bound_terms=4.0 * sizes / sqrt_m,
+        bound_terms=4.0 / u_vals,
         coverage_terms=coverage,
         coverage_sums=np.cumsum(coverage),
         hypothesis_terms=hypothesis,

@@ -12,10 +12,11 @@ in O(r) to O(N_r) time via the level expansion
 
 where g_s(t) is the mean of G_s(. , t) over the rank-s cluster of t.
 
-The energy sweeps need only squared norms at real energies, so they keep the
-per-cluster scalars and carry squared cluster norms up the tree instead of
-level vectors: O(N + R^2) float64 work per energy (see _sweep).  Both read
-one level kernel (_levels), so they share denominators and pole guard.
+The energy sweeps need only squared norms at real energies, which depend on
+the query's cluster Q_r(x) alone; they run there and carry squared cluster
+norms up the tree instead of level vectors: O(N_r + r^2) float64 work per
+energy (see _sweep).  They share the cascade's level kernel (_levels), and
+their pole guard covers the clusters of Q_r(x) only.
 
 Real energies are admitted: the resolvent exists off the countable union of
 finite-volume eigenvalue sets, and a pole guard rejects evaluation points
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingSequence
-from .hierarchy import Truncation
+from .hierarchy import HierarchySpec, Truncation
 from .operators import potential_values
 
 POLE_TOL = 1e-12
@@ -202,21 +203,12 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _w0(alpha, lo, size, work):
-    """W_0 = v_0^2 over the size sites from lo on, in a buffer of work."""
-    part = alpha[:, lo : lo + size]
-    return np.square(part, out=_buffer(work, ("W", 0), part.shape))
-
-
-def _cluster_step(t, w, denom, s, lo, work):
-    """W_s from W_{s-1} over the rank-s clusters from site lo on, and F_s there,
-    both in buffers of work."""
+def _cluster_step(t, w, denom, s, work):
+    """W_s from W_{s-1} over the rank-s clusters, and F_s there, both in
+    buffers of work."""
     n_s = t.factor(s)
-    shape = (w.shape[0], w.shape[1] // n_s)
-    first = lo // t.sizes[s]
-    f_q, f_sq, w_s = (_buffer(work, (name, s), shape) for name in ("F", "F^2", "W"))
-    np.multiply(math.sqrt(n_s), denom[:, first : first + shape[1]], out=f_q)
-    np.divide(1.0, f_q, out=f_q)
+    f_q, f_sq, w_s = (_buffer(work, (name, s), denom.shape) for name in ("F", "F^2", "W"))
+    np.divide(1.0, np.multiply(math.sqrt(n_s), denom, out=f_q), out=f_q)
     np.multiply(_child_sums(w, n_s, w_s), np.square(f_q, out=f_sq), out=w_s)
     return w_s, f_q
 
@@ -224,15 +216,15 @@ def _cluster_step(t, w, denom, s, lo, work):
 def _sweep(t, seq, values, energies, x, r, work):
     """Moment ladder S_0..S_r(e) and pole mask over real energies.
 
-    Reads the level kernel's denominators d_s and pole mask over every
-    cluster of levels 0..r, but carries no level vectors.  With
-    F_s(Q) = 1/(sqrt(n_s) d_s(Q)) the level vectors obey
-    v_s(y) = F_s(Q_s(y)) v_{s-1}(y), so their squared norms over clusters,
+    t is the rank-r cluster Q_r(x) itself (see _sweep_grid), so the level
+    kernel's denominators d_s and pole mask cover its clusters only; no level
+    vectors are carried.  With F_s(Q) = 1/(sqrt(n_s) d_s(Q)) the level vectors
+    obey v_s(y) = F_s(Q_s(y)) v_{s-1}(y), so their squared norms over clusters,
 
         W_0(y) = v_0(y)^2,    W_s(Q) = F_s(Q)^2 sum_{children Q'} W_{s-1}(Q'),
 
-    go up the tree inside Q_r(x) and give the cluster norm N_r W_r(Q_r(x))
-    (_norm_sweep runs this recursion alone).
+    go up the tree and give the cluster norm N_r W_r(Q_r(x)) (_norm_sweep runs
+    this recursion alone).
     On the shell d(x, y) = s the column is G_r(x, y) = -A_{r,s} v_{s-1}(y)
     with A_{r,s} = sum_{s'=s..r} b_{s'} prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
     and b_s = p_s N_{s-1} g_{s-1}(x) / sqrt(N_s), hence
@@ -242,12 +234,11 @@ def _sweep(t, seq, values, energies, x, r, work):
     where shell_s sums W_{s-1} over the children of Q_s(x) other than
     Q_{s-1}(x).  Both results are sums of non-negative terms; the only signed
     sums are G_r(x, x) and A_{r,s}, the level sums the column path forms entry
-    by entry.  Cost per energy is O(N + r^2) in float64.  Returns
+    by entry.  Cost per energy is O(N_r + r^2) in float64.  Returns
     (moments, ok); entries where ok is False are not meaningful.
     """
     n_e = energies.size
     sizes = t.sizes
-    lo = (x // sizes[r]) * sizes[r]
     moments = np.empty((r + 1, n_e))
     shells = np.empty((r, n_e))
     amps = np.zeros((r, n_e))  # amps[s-1] = A_{s',s} at the current rank s'
@@ -257,24 +248,22 @@ def _sweep(t, seq, values, energies, x, r, work):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_x = alpha[:, x].copy()  # v_s(x), the level vector at x
         g_xx = v_x.copy()  # G_s(x, x)
-        w = _w0(alpha, lo, sizes[r], work)  # W_s over the rank-s clusters of Q_r(x)
+        w = np.square(alpha, out=_buffer(work, ("W", 0), alpha.shape))  # W_s
         moments[0] = g_xx**2
         for s, (denom, _, ok) in enumerate(levels, start=1):
             n_s = t.factor(s)
-            parent = (x - lo) // sizes[s]
-            child = (x - lo) // sizes[s - 1] % n_s
+            parent = x // sizes[s]
+            child = x // sizes[s - 1] % n_s
             siblings = np.delete(w[:, parent * n_s : (parent + 1) * n_s], child, axis=1)
             shells[s - 1] = siblings.sum(axis=1)
-            w, f_q = _cluster_step(t, w, denom, s, lo, work)
-
+            w, f_q = _cluster_step(t, w, denom, s, work)
             p_s = seq.p(s)
             b = p_s * sizes[s - 1] / math.sqrt(sizes[s]) * (v_x / math.sqrt(sizes[s - 1]))
-            f_x = f_q[:, parent]
             # divide as build_cascade does, so G_s(x, x) rounds like the column
-            v_x = v_x / (math.sqrt(n_s) * denom[:, x // sizes[s]])
+            v_x = v_x / (math.sqrt(n_s) * denom[:, parent])
             g_xx = g_xx - b * v_x
             spans[s - 1] = 1.0
-            spans[:s] *= f_x
+            spans[:s] *= f_q[:, parent]
             amps[:s] += b * spans[:s]
             moments[s] = g_xx**2 + np.sum(amps[:s] ** 2 * shells[:s], axis=0)
     return moments, ok
@@ -283,27 +272,30 @@ def _sweep(t, seq, values, energies, x, r, work):
 def _norm_sweep(t, seq, values, energies, x, r, work):
     """Cluster norm N_r W_r(Q_r(x)) and pole mask over real energies: the W_s
     recursion of _sweep alone, without shells, amplitudes or moments."""
-    lo = (x // t.sizes[r]) * t.sizes[r]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, energies, r, work)):
             if s:
-                w = _cluster_step(t, w, denom, s, lo, work)[0]
+                w = _cluster_step(t, w, denom, s, work)[0]
             else:
-                w = _w0(alpha, lo, t.sizes[r], work)
+                w = np.square(alpha, out=_buffer(work, ("W", 0), alpha.shape))
     return t.sizes[r] * w[:, 0], ok
 
 
 def _sweep_grid(sweep, t, seq, omega, energies, r, x):
-    """sweep (_sweep or _norm_sweep) over a grid of real energies, in chunks of
-    SWEEP_CELLS // N energies that share one workspace; each output is joined
-    along its energy axis."""
+    """sweep (_sweep or _norm_sweep) over real energies on Q_r(x) = [base,
+    base + N_r) alone: its potential values, rank-r sub-plan and local site
+    x - base, in chunks of SWEEP_CELLS // N_r energies that share one
+    workspace; each output is joined along its energy axis."""
     t.check_rank(r)
     t.check_site(x)
-    values = potential_values(t, omega)
+    n_r = t.sizes[r]
+    base = x // n_r * n_r
+    values = potential_values(t, omega)[base : base + n_r]
+    q = Truncation(HierarchySpec(t.spec.factors[:r], r, t.degree))
     energies = np.asarray(energies, dtype=float)
-    chunk, work = max(1, SWEEP_CELLS // t.site_count), {}
+    chunk, work = max(1, SWEEP_CELLS // n_r), {}
     parts = [
-        sweep(t, seq, values, energies[lo : lo + chunk], x, r, work)
+        sweep(q, seq, values, energies[lo : lo + chunk], x - base, r, work)
         for lo in range(0, max(energies.size, 1), chunk)
     ]
     return tuple(np.concatenate(out, axis=-1) for out in zip(*parts))

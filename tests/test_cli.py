@@ -311,6 +311,32 @@ def test_bound_rank0_needs_a_threshold(tmp_path, capsys, threshold):
     assert not out.exists()
 
 
+def test_sweeps_skip_only_poles_of_the_query_cluster(tmp_path):
+    # Bernoulli {0, 1} disorder at rank 3 < depth: the grid holds 0, 0.75 and
+    # 1, and draw 1 has a pole on it in other rank-3 clusters but not in Q_3(0)
+    cfg = base_config(
+        hierarchy={"degree": 2, "depth": 10},
+        disorder={"kind": "bernoulli", "a": 0.0, "b": 1.0, "q": 0.5},
+        energy_grid={"min": -0.5, "max": 1.5, "points": 2001},
+        seed=1,
+        realizations=2,
+        rank=3,
+        ranks=[1, 2, 3],
+    )
+    config = write_config(tmp_path, cfg)
+    summaries = {}
+    for subcommand in ("bound", "moments"):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", config, "--out", str(out)]) == 0
+        summaries[subcommand] = json.loads((out / "summary.json").read_text())
+    assert summaries["bound"]["skipped"] == [5, 4]
+    assert summaries["moments"]["skipped_cells"] == 9
+    with open(tmp_path / "moments" / "moments.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sum(row["skipped"] == "true" for row in rows) == 9 * 3
+    assert sum(math.isnan(float(row["S_r"])) for row in rows) == 9 * 3
+
+
 def test_output_reproducible_from_manifest_alone(tmp_path):
     extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "realizations": 2}
     config = write_config(tmp_path, base_config(**extra))
@@ -797,6 +823,42 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, key, raw):
     assert main(["bound", "--config", str(config), "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,floats,ints",
+    [
+        (
+            "walk",
+            {"hierarchy": {"degree": 2.0, "depth": 3.0}, "r_max": 30.0},
+            {"hierarchy": {"degree": 2, "depth": 3}, "r_max": 30},
+        ),
+        (
+            "bound",
+            {"realizations": 2.0, "rank": 4.0, "site": 3.0},
+            {"realizations": 2, "rank": 4, "site": 3},
+        ),
+        (
+            "moments",
+            {"realizations": 2.0, "ranks": [0.0, 2.0], "seed": 7.0},
+            {"realizations": 2, "ranks": [0, 2], "seed": 7},
+        ),
+    ],
+    ids=["walk", "bound", "moments"],
+)
+def test_integer_valued_floats_run_as_their_integer_twins(tmp_path, subcommand, floats, ints):
+    # JSON Schema's "integer" admits 2.0; such configs once crashed with rc 1
+    outs = []
+    for name, extra, points in (("float", floats, 11.0), ("int", ints, 11)):
+        grid = {"min": -0.5, "max": 1.5, "points": points}
+        config = write_config(tmp_path, base_config(energy_grid=grid, **extra), f"{name}.json")
+        out = tmp_path / name
+        assert main([subcommand, "--config", config, "--out", str(out)]) == 0
+        outs.append(out)
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    # the manifest echoes the config with its integers as ints
+    assert read_bytes(outs[0], files) == read_bytes(outs[1], files)
 
 
 def test_cli_runs_without_importing_jsonschema(tmp_path):

@@ -113,6 +113,26 @@ def test_summability_ledger_hypothesis_side():
         borel_cantelli_profile(GeometricCoupling(2.0), t, u, 0)
 
 
+@pytest.mark.parametrize("r_max", [600, 1100])
+def test_summability_ledger_past_the_float_range(r_max):
+    # degree 2, u_r = r^2: M_r = (u_r N_r)^2 overflows from r = 495 on, p_r of
+    # rho = 4 underflows to 0 from r = 538 on, and N_r itself from r = 1024 on
+    t = _t(3)
+    seq = GeometricCoupling(4.0)
+    u = PowerSequence(2.0)
+    ledger = borel_cantelli_profile(seq, t, u, r_max)
+    inv_u = np.array([1.0 / u(r) for r in ledger.r_values])
+    assert np.array_equal(ledger.coverage_terms, inv_u)
+    assert np.array_equal(ledger.bound_terms, 4.0 * inv_u)
+    for k, r in enumerate(ledger.r_values.tolist()):
+        assert ledger.thresholds[k] == ((u(r) * 2**r) ** 2 if r < 495 else math.inf)
+        # 0 where p_r = 0: no 0 * inf
+        direct = seq.p(r) * 2.0 ** (r - 1) * u(r - 1) * u(r) if r < 538 else 0.0
+        assert ledger.hypothesis_terms[k] == pytest.approx(direct, rel=1e-12)
+    assert np.all(np.isfinite(ledger.hypothesis_sums))
+    assert ledger.hypothesis_sums[-1] == ledger.hypothesis_sums[537]
+
+
 def test_ipr_bounds_and_extremes():
     n = 16
     uniform = np.full(n, 1.0 / math.sqrt(n))

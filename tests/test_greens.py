@@ -284,8 +284,24 @@ DISORDERS = (
 )
 
 
-def _spectra(t, seq, omega, r):
-    return [np.linalg.eigvalsh(hamiltonian(t, seq, omega, s).dense()) for s in range(r + 1)]
+def _cluster(t, r, x):
+    """The sites of Q_r(x), the rank-r cluster of x, as a slice."""
+    base = x // t.sizes[r] * t.sizes[r]
+    return slice(base, base + t.sizes[r])
+
+
+def _spectra(t, seq, omega, r, sites=slice(None)):
+    """Spectra of H_0..H_r on sites, a union of rank-r clusters (default: all)."""
+    blocks = (hamiltonian(t, seq, omega, s).dense()[sites, sites] for s in range(r + 1))
+    return [np.linalg.eigvalsh(h) for h in blocks]
+
+
+def _on_cluster(t, omega, r, x):
+    """Q_r(x) as a lattice of its own: its first r factors, the potential on its
+    sites and the local site of x."""
+    sites = _cluster(t, r, x)
+    q = build_truncation(HierarchySpec.explicit(t.spec.factors[:r]))
+    return q, omega.values[sites], x - sites.start
 
 
 @st.composite
@@ -303,11 +319,13 @@ def sweep_cases(draw, dist):
     x = draw(st.one_of(st.sampled_from([n // 2, n - 1]), st.integers(0, n - 1)))
     r = draw(st.integers(0, t.depth))
     # free energies plus poles: the potential values are the level-0 poles,
-    # and every eigenvalue of H_0..H_r is a pole of some level up to r
-    spectra = _spectra(t, seq, omega, r)
-    poles = np.concatenate([omega.values, *spectra]).tolist()
+    # and every eigenvalue of H_0..H_r is a pole of some level up to r; they
+    # are drawn from the whole lattice, so some lie outside Q_r(x)
+    poles = np.concatenate([omega.values, *_spectra(t, seq, omega, r)]).tolist()
     free = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=6))
     energies = np.array(free + draw(st.lists(st.sampled_from(poles), max_size=3)))
+    # the spectra on Q_r(x), the only ones a sweep at x and rank r reads
+    spectra = _spectra(t, seq, omega, r, _cluster(t, r, x))
     return t, seq, omega, x, r, energies, spectra
 
 
@@ -338,17 +356,19 @@ def test_sweeps_match_per_energy_cascade(dist, data):
     ladder, ok = moment_ladder_sweep(t, seq, omega, energies, r, x)
     norm2, ok_norm = cluster_norm_sweep(t, seq, omega, energies, r, x)
     assert np.array_equal(ok, ok_norm)
+    q, values, x_q = _on_cluster(t, omega, r, x)
     n_r = t.sizes[r]
-    lo = (x // n_r) * n_r
     for k, e in enumerate(energies):
-        cascade = _cascade_or_none(t, seq, omega, e, r)
+        if _cascade_or_none(t, seq, omega, e, r) is not None:
+            assert ok[k]  # the whole-lattice guard passes, so Q_r(x)'s does
+        cascade = _cascade_or_none(q, seq, values, e, r)
         assert ok[k] == (cascade is not None)
         if cascade is None:
             continue
         rtol = _rtol(spectra, e, 1e-12)
-        oracle = np.array(moment_ladder(t, seq, omega, e, range(r + 1), x))
+        oracle = np.array(moment_ladder(q, seq, values, e, range(r + 1), x_q))
         assert np.all(np.abs(ladder[:, k] - oracle) <= rtol * oracle)
-        level = cascade.levels[r][lo : lo + n_r]
+        level = cascade.levels[r]
         norm_oracle = n_r * float(np.sum(np.abs(level) ** 2))
         assert abs(norm2[k] - norm_oracle) <= rtol[r] * norm_oracle
 
@@ -358,13 +378,13 @@ def test_sweeps_match_per_energy_cascade(dist, data):
 def test_cluster_norm_sweep_matches_dense_solve(dist, data):
     t, seq, omega, x, r, energies, spectra = data.draw(sweep_cases(dist))
     norm2, ok = cluster_norm_sweep(t, seq, omega, energies, r, x)
-    h = hamiltonian(t, seq, omega, r).dense()
+    sites = _cluster(t, r, x)
+    h = hamiltonian(t, seq, omega, r).dense()[sites, sites]  # H_r's block on Q_r(x)
     n_r = t.sizes[r]
-    ones = np.zeros(t.site_count)
-    ones[(x // n_r) * n_r : (x // n_r + 1) * n_r] = 1.0
+    ones = np.ones(n_r)
     for k, e in enumerate(energies):
         if ok[k]:
-            ref = np.linalg.solve(h - e * np.eye(t.site_count), ones)
+            ref = np.linalg.solve(h - e * np.eye(n_r), ones)
             oracle = float(np.sum(ref**2))
             assert abs(norm2[k] - oracle) <= _rtol(spectra, e, 1e-9)[r] * oracle
 
@@ -436,10 +456,26 @@ def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist, data):
         )
     for r in range(t.depth + 1):
         _, ok = moment_ladder_sweep(t, seq, omega, energies, r)
-        raised = [_cascade_or_none(t, seq, omega, e, r) is None for e in energies]
+        q, values, _ = _on_cluster(t, omega, r, 0)
+        raised = [_cascade_or_none(q, seq, values, e, r) is None for e in energies]
         assert ok.tolist() == [not flag for flag in raised]
+        # wherever the whole-lattice guard passes, so does the guard on Q_r(0)
+        whole = [_cascade_or_none(t, seq, omega, e, r) is not None for e in energies]
+        assert np.all(ok[whole])
         if factors is not None:
             assert not ok.all()
+
+
+def test_sweep_skips_no_pole_outside_the_query_cluster():
+    # V = 1 on Q_9(0) and 0 elsewhere: e = 0 and e = lambda_1 = 0.75 are poles
+    # of clusters that do not touch Q_3(0), and e = 1 is a level-0 pole inside it
+    t = build_truncation(HierarchySpec.homogeneous(2, 10))
+    seq = GeometricCoupling(4.0)
+    values = np.where(np.arange(t.site_count) < t.sizes[9], 1.0, 0.0)
+    energies = np.linspace(-0.5, 1.5, 2001)
+    for sweep in (moment_ladder_sweep, cluster_norm_sweep):
+        _, ok = sweep(t, seq, values, energies, 3)
+        assert energies[~ok].tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
