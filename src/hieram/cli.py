@@ -564,9 +564,16 @@ def run_green(ctx, writer: OutputWriter) -> dict:
     y = cfg.get("target", 0)
     r = cfg.get("rank", t.depth)
     omega = disorder.sample_potential(dist, t, cfg["seed"], 0)
-    cascade = greens.build_cascade(t, seq, omega, z, r)
-    column, moment = greens.green_column(cascade, x, r)
-    entry = greens.green_entry(cascade, x, y, r)
+    q, values, x_q = operators.cluster_cut(t, omega, r, x)
+    cascade = greens.build_cascade(q, seq, values, z, r)
+    base = x - x_q  # G_r(x, .) lives on Q_r(x) = [base, base + N_r)
+    column = np.zeros(t.site_count, dtype=complex)
+    column[base : base + q.site_count] = greens.green_column(cascade, x_q, r)[0]
+    moment = float(np.sum(np.abs(column) ** 2))
+    if 0 <= y - base < q.site_count:
+        entry = greens.green_entry(cascade, x_q, y - base, r)
+    else:
+        entry = greens.GreenQueryResult(0.0, (), t.distance(x, y))
     header = ["y", "re", "im"]
     rows = columns(header, np.arange(t.site_count), column.real, column.imag)
     writer.table("green_column", header, rows)

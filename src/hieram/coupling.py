@@ -67,6 +67,10 @@ class CouplingSequence:
             raise ValueError(f"rank must be >= 0, got {r}")
         return 1.0 - self.tail(r)
 
+    def log_p(self, r: int) -> float:
+        """log p_r for p_r > 0; overridden where p_r is subnormal."""
+        return math.log(self.p(r))
+
     def log_tail(self, r: int) -> float:
         """log(1 - lambda_r); overridden where the tail underflows."""
         t = self.tail(r)
@@ -111,6 +115,9 @@ class GeometricCoupling(CouplingSequence):
             raise ValueError(f"rank must be >= 0, got {r}")
         return self.rho ** (-r)
 
+    def log_p(self, r: int) -> float:
+        return math.log(self.rho - 1.0) - r * math.log(self.rho)
+
     def log_tail(self, r: int) -> float:
         return -r * math.log(self.rho)
 
@@ -148,6 +155,10 @@ class PolyGeometricCoupling(CouplingSequence):
         if r == 0:
             return 0.0
         return self.normalizer * self._raw_term(r)
+
+    def log_p(self, r: int) -> float:
+        decay = (3.0 + self.epsilon) * math.log(r) + r * math.log(self.n)
+        return math.log(self.normalizer) - decay
 
     def tail(self, r: int) -> float:
         if r < 0:
@@ -215,12 +226,16 @@ class ExplicitCoupling(CouplingSequence):
         return float(self._suffix[min(r, self.length)])
 
     def weighted_tail(self, r: int, geometry) -> float:
-        # the declared tail is carried at the first rank past the list
-        total = 0.0
-        for s in range(r + 1, self.length + 1):
-            total += self.p(s) / geometry.size(s)
-        if self.tail_mass > 0.0:
-            total += self.tail_mass / geometry.size(max(r, self.length) + 1)
+        # the declared tail is carried at the first rank past the list; a
+        # term whose exact N_s is past the float range reads 0
+        total, n_s = 0.0, geometry.size(r)
+        for s in range(r + 1, max(r, self.length) + 2):
+            n_s *= geometry.factor(s)
+            mass = self.p(s) if s <= self.length else self.tail_mass
+            try:
+                total += mass / n_s
+            except OverflowError:
+                break
         return total
 
 
@@ -313,17 +328,31 @@ def _series(condition, u, terms, seq, ratio, poly_exponent) -> HypothesisReport:
     )
 
 
+def _exp(log_term: float) -> float:
+    """A series term from its logarithm; inf where it overflows."""
+    try:
+        return math.exp(log_term)
+    except OverflowError:
+        return math.inf
+
+
 def main_hypothesis_terms(
     seq: CouplingSequence, t: Truncation | HierarchySpec, u: PowerSequence, r_max: int
 ) -> list[float]:
     """p_r N_{r-1} u_{r-1} u_r for r = 1..r_max; a zero or underflowed p_r
-    gives 0, not 0 * inf once N_{r-1} overflows."""
+    gives 0, not 0 * inf, and a term whose float N_{r-1} is past the range
+    is formed in logs, from log p_r and the exact N_{r-1}."""
     terms = []
-    n_prev = 1.0
+    n_prev, exact = 1.0, 1
     for r in range(1, r_max + 1):
         p = seq.p(r)
-        terms.append(p * n_prev * u(r - 1) * u(r) if p else 0.0)
+        if p and math.isinf(n_prev):
+            logs = seq.log_p(r) + math.log(exact) + math.log(u(r - 1)) + math.log(u(r))
+            terms.append(_exp(logs))
+        else:
+            terms.append(p * n_prev * u(r - 1) * u(r) if p else 0.0)
         n_prev *= t.factor(r)
+        exact *= t.factor(r)
     return terms
 
 
@@ -379,12 +408,18 @@ def fractional_moment_bounds(
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
     lower_terms, upper_terms = [], []
-    n_r = 1.0
+    n_r, exact = 1.0, 1
     for r in range(1, r_max + 1):
         n_r *= t.factor(r)
-        p = seq.p(r)  # as in check_main_hypothesis: 0, not 0 * inf once N_r overflows
-        lower_terms.append(p * n_r ** (1.0 - s) if p else 0.0)
-        upper_terms.append(p**s * n_r ** (1.0 - s) if p else 0.0)
+        exact *= t.factor(r)
+        p = seq.p(r)  # as in main_hypothesis_terms: 0 where p_r is, logs past N_r's range
+        if p and math.isinf(n_r):
+            log_p, log_n = seq.log_p(r), (1.0 - s) * math.log(exact)
+            lower_terms.append(_exp(log_p + log_n))
+            upper_terms.append(_exp(s * log_p + log_n))
+        else:
+            lower_terms.append(p * n_r ** (1.0 - s) if p else 0.0)
+            upper_terms.append(p**s * n_r ** (1.0 - s) if p else 0.0)
     low_ratio, up_ratio, q = math.nan, math.nan, 0.0
     if t.degree is not None and seq.decay is not None:
         # p_r N_r^{1-s} and p_r^s N_r^{1-s} ~ r^q and r^{sq} times a ratio^r

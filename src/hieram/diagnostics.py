@@ -136,16 +136,17 @@ def ipr_profile(
     omega,
     r: int,
     cap: int = operators.DENSE_CAP,
+    x: int = 0,
 ) -> list[tuple[float, float]]:
     """(eigenvalue, inverse participation ratio) pairs at finite volume.
 
-    Dense eigensolve of the Hamiltonian restricted to the rank-r cluster at
-    site 0; IPR of a normalized vector is sum_x psi(x)^4, ranging from 1/N_r
-    (uniform spreading) to 1 (a point mass).
+    Dense eigensolve of H_r on the cut of Q_r(x) (operators.cluster_cut); IPR
+    of a normalized vector is sum_y psi(y)^4, ranging from 1/N_r (uniform
+    spreading) to 1 (a point mass).
     """
-    n_r = t.sizes[r]
-    block = operators.cutoff_dense_block(t, seq, r, cap)
-    block[np.diag_indices(n_r)] += operators.potential_values(t, omega)[:n_r]
+    q, values, _ = operators.cluster_cut(t, omega, r, x)
+    block = operators.cutoff_dense_block(q, seq, r, cap)
+    block[np.diag_indices(q.site_count)] += values
     spectrum = operators.dense_symmetric_eigensolve(block)
     # two squarings: numpy has no fast path for the exponent 4
     iprs = np.sum(np.square(np.square(spectrum.eigenvectors)), axis=0)
@@ -230,7 +231,7 @@ def localization_sweep(
 
     ipr = {}
     if ipr_rank is not None:
-        profiles = [ipr_profile(t, seq, omega, ipr_rank, cap) for omega in potentials]
+        profiles = [ipr_profile(t, seq, omega, ipr_rank, cap, site) for omega in potentials]
         eigs, iprs = np.moveaxis(np.array(profiles), -1, 0)
         n_r = t.sizes[ipr_rank]
         lo = int(MID_SPECTRUM_WINDOW[0] * n_r)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingSequence
-from .hierarchy import HierarchySpec, Truncation
-from .operators import potential_values
+from .hierarchy import Truncation
+from .operators import cluster_cut, potential_values
 
 POLE_TOL = 1e-12
 SWEEP_CELLS = 2**17  # energies x sites per sweep chunk: 1 MiB level-0 arrays
@@ -282,20 +282,14 @@ def _norm_sweep(t, seq, values, energies, x, r, work):
 
 
 def _sweep_grid(sweep, t, seq, omega, energies, r, x):
-    """sweep (_sweep or _norm_sweep) over real energies on Q_r(x) = [base,
-    base + N_r) alone: its potential values, rank-r sub-plan and local site
-    x - base, in chunks of SWEEP_CELLS // N_r energies that share one
-    workspace; each output is joined along its energy axis."""
-    t.check_rank(r)
-    t.check_site(x)
-    n_r = t.sizes[r]
-    base = x // n_r * n_r
-    values = potential_values(t, omega)[base : base + n_r]
-    q = Truncation(HierarchySpec(t.spec.factors[:r], r, t.degree))
+    """sweep (_sweep or _norm_sweep) over real energies on the cut of Q_r(x)
+    (operators.cluster_cut), in chunks of SWEEP_CELLS // N_r energies that
+    share one workspace; each output is joined along its energy axis."""
+    q, values, x_q = cluster_cut(t, omega, r, x)
     energies = np.asarray(energies, dtype=float)
-    chunk, work = max(1, SWEEP_CELLS // n_r), {}
+    chunk, work = max(1, SWEEP_CELLS // q.site_count), {}
     parts = [
-        sweep(q, seq, values, energies[lo : lo + chunk], x - base, r, work)
+        sweep(q, seq, values, energies[lo : lo + chunk], x_q, r, work)
         for lo in range(0, max(energies.size, 1), chunk)
     ]
     return tuple(np.concatenate(out, axis=-1) for out in zip(*parts))

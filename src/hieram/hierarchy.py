@@ -120,6 +120,11 @@ class Truncation:
             return self.sizes[r]
         return self.spec.size(r)
 
+    def cluster_lattice(self, r: int) -> "Truncation":
+        """The depth-r lattice that every rank-r cluster is: t's first r factors."""
+        self.check_rank(r)
+        return Truncation(HierarchySpec(self.spec.factors[:r], r, self.degree))
+
     def num_clusters(self, r: int) -> int:
         self.check_rank(r)
         return self.site_count // self.sizes[r]
@@ -163,23 +168,13 @@ def build_truncation(spec: HierarchySpec) -> Truncation:
     return Truncation(spec)
 
 
-def distance_matrix(t: Truncation, m: int | None = None) -> np.ndarray:
-    """Pairwise hierarchical distances of the first m sites (default: all).
-
-    d(x, y) is the smallest rank s whose block holds both x and y.  So the
-    matrix starts at the depth, and each level from the top down writes s
-    into its diagonal rank-s blocks (the full ones through a block-diagonal
-    view, then the ragged tail), overwriting the coarser levels.
-    """
-    if m is None:
-        m = t.site_count
-    if not 0 < m <= t.site_count:
-        raise ValueError(f"m must be in [1, {t.site_count}], got {m}")
-    dtype = np.uint8 if t.depth < 256 else np.int64
-    d = np.full((m, m), t.depth, dtype=dtype)
+def distance_matrix(t: Truncation) -> np.ndarray:
+    """Pairwise hierarchical distances d(x, y), the smallest rank s whose
+    block holds both x and y: a fill with the depth, then each level from the
+    top down writes s into its diagonal rank-s blocks (a block-diagonal view)."""
+    n = t.site_count
+    d = np.full((n, n), t.depth, dtype=np.uint8 if t.depth < 256 else np.int64)
     for s in range(t.depth - 1, -1, -1):
-        n = t.sizes[s]
-        k = m // n
-        np.einsum("ijik->ijk", d[: k * n, : k * n].reshape(k, n, k, n))[...] = s
-        d[k * n :, k * n :] = s
+        k, b = n // t.sizes[s], t.sizes[s]
+        np.einsum("ijik->ijk", d.reshape(k, b, k, b))[...] = s
     return d

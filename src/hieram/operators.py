@@ -92,20 +92,19 @@ class HierarchicalOperator:
             acc = acc + self.potential * psi
         return acc + self.tail * psi.sum()
 
-    def dense(self, cap: int = DENSE_CAP, m: int | None = None) -> np.ndarray:
-        """The matrix on the first m sites (default: all) via the distance kernel.
+    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
+        """The matrix via the distance kernel.
 
         Entry (x, y) is K[d(x, y)] with K[d] = sum_{s=d}^{R} w_s / N_s + tau.
         """
         t = self.trunc
-        n = t.site_count if m is None else m
-        check_cap(n, cap)
+        check_cap(t.site_count, cap)
         per_site = self.weights / np.array(t.sizes[: self.rank + 1])
         k = np.zeros(t.depth + 1)
         k[: self.rank + 1] = np.cumsum(per_site[::-1])[::-1]
-        h = (k + self.tail)[distance_matrix(t, m)]
+        h = (k + self.tail)[distance_matrix(t)]
         if self.potential is not None:
-            h[np.diag_indices(n)] += self.potential[:n]
+            h[np.diag_indices(t.site_count)] += self.potential
         return h
 
 
@@ -146,20 +145,28 @@ def hamiltonian(
     return HierarchicalOperator(t, lap.weights, lap.tail, omega)
 
 
+def cluster_cut(t: Truncation, omega, r: int, x: int):
+    """Q_r(x) as a lattice of its own: (t.cluster_lattice(r), the potential
+    on its sites, the local index of x there)."""
+    sites = t.cluster_members(t.cluster_of(x, r))
+    values = potential_values(t, omega)[sites.start : sites.stop]
+    return t.cluster_lattice(r), values, x - sites.start
+
+
 def cutoff_dense_block(
     t: Truncation, seq: CouplingSequence, r: int, cap: int = DENSE_CAP
 ) -> np.ndarray:
-    """Dense rank-r cut-off Laplacian restricted to the cluster at site 0."""
-    return laplacian(t, seq, r).dense(cap, t.sizes[r])
+    """Dense rank-r cut-off Laplacian on a rank-r cluster (all share it)."""
+    return laplacian(t.cluster_lattice(r), seq, r).dense(cap)
 
 
 def compression_dense_block(
     t: Truncation, seq: CouplingSequence, r: int, cap: int = DENSE_CAP
 ) -> np.ndarray:
-    """Dense compression of the full Laplacian onto the cluster at site 0."""
-    weights = laplacian(t, seq, r).weights
-    op = HierarchicalOperator(t, weights, seq.weighted_tail(r, t))
-    return op.dense(cap, t.sizes[r])
+    """Dense compression of the full Laplacian (tail: t's plan) onto a rank-r cluster."""
+    q = t.cluster_lattice(r)
+    op = HierarchicalOperator(q, laplacian(q, seq, r).weights, seq.weighted_tail(r, t))
+    return op.dense(cap)
 
 
 @dataclass(frozen=True)

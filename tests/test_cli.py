@@ -23,6 +23,7 @@ from hieram import (
     disorder,
     exact_cutoff_spectrum,
     group_eigenvalues,
+    hamiltonian,
     localization_sweep,
     restricted_full_spectrum,
 )
@@ -337,6 +338,65 @@ def test_sweeps_skip_only_poles_of_the_query_cluster(tmp_path):
     assert sum(math.isnan(float(row["S_r"])) for row in rows) == 9 * 3
 
 
+def _cut_lattice_config(**extra):
+    # degree 2, depth 6: Q_3(40) = sites 40..47 and Q_2(0) = sites 0..3
+    return base_config(hierarchy={"degree": 2, "depth": 6}, seed=5, **extra)
+
+
+def _dense_h(cfg, r):
+    t = build_truncation(cli.resolve_hierarchy(cfg))
+    omega = disorder.sample_potential(cli.resolve_disorder(cfg), t, cfg["seed"], 0)
+    return hamiltonian(t, cli.resolve_coupling(cfg), omega, r).dense(), omega.values
+
+
+def test_localize_iprs_are_on_the_cluster_of_the_site(tmp_path):
+    cfg = _cut_lattice_config(
+        energy_grid={"min": -0.5, "max": 1.5, "points": 21}, ranks=[0, 1, 2, 3], site=40
+    )
+    out = tmp_path / "out"
+    assert main(["localize", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "ipr.csv", newline="") as fh:
+        rows = [(float(row["eigenvalue"]), float(row["ipr"])) for row in csv.DictReader(fh)]
+    h, _ = _dense_h(cfg, 3)
+    values, vectors = np.linalg.eigh(h[40:48, 40:48])
+    assert np.abs(np.array(rows)[:, 0] - values).max() <= 1e-12
+    assert np.abs(np.array(rows)[:, 1] - np.sum(vectors**4, axis=0)).max() <= 1e-12
+
+
+def test_green_ignores_poles_outside_the_cluster_of_the_site(tmp_path):
+    # z is the potential at site 63, a pole of H_2 on Q_2(63) but not on Q_2(0)
+    z = 0.10441499400432674
+    cfg = _cut_lattice_config(z={"re": z, "im": 0.0}, rank=2)
+    h, values = _dense_h(cfg, 2)
+    assert values[63] == z
+    out = tmp_path / "out"
+    assert main(["green", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "green_column.csv", newline="") as fh:
+        column = np.array([complex(float(row["re"]), float(row["im"])) for row in csv.DictReader(fh)])
+    solve = np.linalg.solve(h[:4, :4] - z * np.eye(4), np.eye(4)[0])
+    assert np.abs(column[:4] - solve).max() <= 1e-12 * np.abs(solve).max()
+    assert not column[4:].any()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["entry"] == pytest.approx([solve[0], 0.0], rel=1e-12)
+    assert summary["moment"] == pytest.approx(np.sum(solve**2), rel=1e-12)
+
+
+def test_green_target_outside_the_cluster_reads_zero(tmp_path):
+    # Q_2(5) = sites 4..7, and target 12 lies in another rank-2 cluster
+    cfg = base_config(z={"re": 0.3, "im": 0.9}, rank=2, site=5, target=12)
+    out = tmp_path / "out"
+    assert main(["green", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["entry"] == [0.0, 0.0]
+    assert (out / "green_terms.csv").read_text().splitlines() == ["s,re,im"]
+    with open(out / "green_column.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 16
+    off = [row for row in rows if not 4 <= int(row["y"]) < 8]
+    assert all(float(row["re"]) == float(row["im"]) == 0.0 for row in off)
+    assert all(float(row["re"]) != 0.0 for row in rows[4:8])
+
+
 def test_output_reproducible_from_manifest_alone(tmp_path):
     extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "realizations": 2}
     config = write_config(tmp_path, base_config(**extra))
@@ -408,6 +468,16 @@ def test_each_realization_is_drawn_once(tmp_path, monkeypatch, subcommand):
             {"hierarchy": {"degree": 40, "depth": 2}, "coupling": {"family": "geometric", "rho": 1000.0}},
             0,
         ),
+        (  # a tiny p_r > 0 times an overflowed N_r, in both fractional series
+            "hypothesis",
+            {"hierarchy": {"degree": 40, "depth": 2}, "coupling": {"family": "geometric", "rho": 2.0}, "s": 0.9},
+            0,
+        ),
+        (  # the same in the main series, rows r = 194..200
+            "hypothesis",
+            {"hierarchy": {"degree": 40, "depth": 2}, "coupling": {"family": "geometric", "rho": 41.0}, "r_max": 200},
+            0,
+        ),
     ],
 )
 def test_series_past_the_float_range_exit_cleanly(tmp_path, capsys, subcommand, extra, code):
@@ -428,6 +498,10 @@ def test_series_past_the_float_range_exit_cleanly(tmp_path, capsys, subcommand, 
         for bound in ("lower", "upper"):
             if summary[f"fractional_moment_{bound}_converges"]:
                 assert math.isfinite(summary[f"fractional_moment_{bound}"])
+        if summary["main_verdict"].startswith("converges"):
+            with open(out / "hypothesis.csv", newline="") as fh:
+                terms = [float(row["term"]) for row in csv.DictReader(fh)]
+            assert all(math.isfinite(term) for term in terms)
 
 
 def test_threads_flag_does_not_change_bytes(tmp_path):
@@ -570,6 +644,8 @@ def _merged(atoms):
         {"family": "geometric", "rho": 4.0},
         {"family": "polygeometric", "n": 2, "epsilon": 0.3},
         {"family": "explicit", "weights": [0.5, 0.25], "tail": 0.25},
+        # N_s passes 2^1024 inside the list: those compression-tail terms read 0
+        {"family": "explicit", "weights": [1 / 1100] * 1100},
     ],
 )
 def test_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, hierarchy, coupling):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hieram import (
@@ -117,6 +118,60 @@ def test_weighted_tail_explicit_concentrates_declared_mass():
     assert seq.weighted_tail(2, spec) == pytest.approx(0.1 / 8, abs=1e-18)
     assert seq.weighted_tail(1, spec) == pytest.approx(0.3 / 4 + 0.1 / 8, abs=1e-18)
     assert ExplicitCoupling([0.7, 0.3]).weighted_tail(2, spec) == 0.0
+
+
+@pytest.mark.parametrize("r", [0, 2, 3, 1099, 1100, 1200])
+def test_weighted_tail_past_the_float_range(r):
+    # N_s = 2^s passes the float range inside the list; every in-range term
+    # keeps its bits, the others read 0
+    spec = HierarchySpec.homogeneous(2, 3)
+    seq = ExplicitCoupling([1 / 1100] * 1099, 1 / 1100)
+    brute = 0.0
+    for s in range(r + 1, max(r, 1099) + 2):
+        mass = seq.p(s) if s <= 1099 else seq.tail_mass
+        if spec.size(s) < 2**1024:
+            brute += mass / spec.size(s)
+    assert seq.weighted_tail(r, spec) == brute
+
+
+def test_log_p_is_the_log_of_p():
+    for seq in (GeometricCoupling(41.0), PolyGeometricCoupling(3, 0.5), ExplicitCoupling([0.6, 0.4])):
+        for r in (1, 2):
+            assert seq.log_p(r) == pytest.approx(math.log(seq.p(r)), rel=1e-14)
+    # past the normal range p_r is subnormal, while the closed form stays exact
+    seq = GeometricCoupling(41.0)
+    assert 0.0 < seq.p(198) < 2.3e-308
+    assert seq.log_p(198) == pytest.approx(math.log(40) - 198 * math.log(41), rel=1e-15)
+
+
+def test_series_past_the_float_range_match_their_closed_forms():
+    # degree 40: the float N_r is inf from r = 193 while p_r is still positive
+    spec = HierarchySpec.homogeneous(40, 2)
+    bracket = fractional_moment_bounds(GeometricCoupling(2.0), spec, 0.9)
+    for report, ratio in ((bracket.lower, 40**0.1 / 2), (bracket.upper, 40**0.1 / 2**0.9)):
+        assert report.converges is True
+        assert all(math.isfinite(term) for term in report.terms)
+        assert report.value == pytest.approx(ratio / (1 - ratio), rel=1e-12)
+        for r in (193, 200):
+            assert report.terms[r - 1] == pytest.approx(ratio**r, rel=1e-12)
+    u = PowerSequence(1.1)
+    main = check_main_hypothesis(GeometricCoupling(41.0), spec, u, 200)
+    assert main.verdict == CONVERGES_ANALYTIC
+    # p_r N_{r-1} = (40/41)^r; terms up to r = 193 keep the in-range product
+    exact = [(40 / 41) ** r * u(r - 1) * u(r) for r in range(1, 201)]
+    n_prev = 1.0
+    for r in range(1, 194):
+        assert main.terms[r - 1] == GeometricCoupling(41.0).p(r) * n_prev * u(r - 1) * u(r)
+        n_prev *= 40
+    assert np.allclose(main.terms[193:], exact[193:], rtol=1e-12, atol=0)
+    assert main.partial_sums[-1] == pytest.approx(math.fsum(exact), rel=1e-12)
+
+
+def test_overflowing_log_space_terms_read_inf():
+    # 20^r passes the float range at r = 237; the series diverges analytically
+    main = check_main_hypothesis(GeometricCoupling(2.0), HierarchySpec.homogeneous(40, 2), r_max=300)
+    assert main.verdict == DIVERGES_ANALYTIC
+    assert math.isfinite(main.terms[230]) and main.terms[260] == math.inf
 
 
 def test_power_sequence_contract():

@@ -142,6 +142,16 @@ def test_ipr_bounds_and_extremes():
     assert np.sum(point**4) == 1.0
 
 
+def test_summability_ledger_has_no_inf_term_past_the_float_range():
+    # degree 40, rho 41: N_{r-1} passes the float range at r = 194
+    t = build_truncation(HierarchySpec.homogeneous(40, 2))
+    u = PowerSequence(1.1)
+    ledger = borel_cantelli_profile(GeometricCoupling(41.0), t, u, 200)
+    assert np.isfinite(ledger.hypothesis_terms).all()
+    exact = math.fsum((40 / 41) ** r * u(r - 1) * u(r) for r in range(1, 201))
+    assert ledger.hypothesis_sums[-1] == pytest.approx(exact, rel=1e-12)
+
+
 def test_ipr_profile_free_laplacian():
     t = _t(3)
     seq = GeometricCoupling(4.0)

@@ -153,17 +153,35 @@ def test_distance_matrix_matches_pairwise_queries():
     for x in range(t.site_count):
         for y in range(t.site_count):
             assert d[x, y] == t.distance(x, y)
-    assert distance_matrix(t, 4).shape == (4, 4)
+    # every rank-r cluster's block is the matrix of the cluster lattice
+    for r in range(t.depth + 1):
+        q = distance_matrix(t.cluster_lattice(r))
+        for c in range(t.num_clusters(r)):
+            sites = t.cluster_members(ClusterId(r, c))
+            assert np.array_equal(d[sites.start : sites.stop, sites.start : sites.stop], q)
     with pytest.raises(ValueError):
-        distance_matrix(t, 0)
+        t.cluster_lattice(4)
 
 
-def distance_matrix_oracle(t, m):
+def test_cluster_lattice_is_the_plan_below_rank_r():
+    t = build_truncation(HierarchySpec.homogeneous(3, 4))
+    q = t.cluster_lattice(2)
+    assert (q.depth, q.degree, q.sizes, q.site_count) == (2, 3, (1, 3, 9), 9)
+    assert q.size(5) == t.size(5)  # extends the plan as t does
+    mixed = build_truncation(HierarchySpec.explicit([2, 3, 4]))
+    assert mixed.cluster_lattice(2).spec == HierarchySpec.explicit([2, 3])
+    assert mixed.cluster_lattice(3).spec == mixed.spec
+    assert mixed.cluster_lattice(0).site_count == 1
+    with pytest.raises(ValueError):
+        mixed.cluster_lattice(-1)
+
+
+def distance_matrix_oracle(t):
     """d(x, y) as the number of ranks s < R with x // N_s != y // N_s, one
-    full m x m compare per rank."""
-    x = np.arange(m, dtype=np.int64)
+    full N x N compare per rank."""
+    x = np.arange(t.site_count, dtype=np.int64)
     dtype = np.uint8 if t.depth < 256 else np.int64
-    d = np.zeros((m, m), dtype=dtype)
+    d = np.zeros((t.site_count, t.site_count), dtype=dtype)
     for s in range(t.depth):
         blocks = x // t.sizes[s]
         d += (blocks[:, None] != blocks[None, :]).astype(dtype)
@@ -175,11 +193,12 @@ def test_distance_matrix_matches_the_per_rank_oracle(data):
     # up to 4^5 = 1024 sites; the empty plan is the one-site lattice
     factors = data.draw(st.lists(st.integers(2, 4), max_size=5), label="factors")
     t = build_truncation(HierarchySpec.explicit(factors))
-    m = data.draw(st.integers(1, t.site_count), label="m")
-    d = distance_matrix(t, m)
-    oracle = distance_matrix_oracle(t, m)
-    assert d.dtype == oracle.dtype
-    assert np.array_equal(d, oracle)
+    r = data.draw(st.integers(0, t.depth), label="r")
+    for lattice in (t, t.cluster_lattice(r)):
+        d = distance_matrix(lattice)
+        oracle = distance_matrix_oracle(lattice)
+        assert d.dtype == oracle.dtype
+        assert np.array_equal(d, oracle)
 
 
 @pytest.mark.parametrize(
@@ -193,5 +212,8 @@ def test_distance_matrix_matches_the_per_rank_oracle(data):
 )
 def test_distance_matrix_at_scale_matches_the_oracle(spec):
     t = build_truncation(spec)
-    for m in (t.site_count, t.site_count // 2 + 3, 1):
-        assert np.array_equal(distance_matrix(t, m), distance_matrix_oracle(t, m))
+    oracle = distance_matrix_oracle(t)
+    assert np.array_equal(distance_matrix(t), oracle)
+    for r in (t.depth - 1, 1, 0):
+        n = t.sizes[r]
+        assert np.array_equal(distance_matrix(t.cluster_lattice(r)), oracle[:n, :n])

@@ -266,8 +266,13 @@ def test_general_operator_apply_matches_dense():
     for s, w in ((1, 0.2), (2, 0.1), (3, 0.4)):
         expected += w * averaging(t, s).dense()
     assert np.abs(dense - expected).max() < 1e-15
-    # the block at site 0 is the corner of the full matrix
-    assert np.array_equal(op.dense(m=6), dense[:6, :6])
+    # below the depth, each rank-2 cluster's block is the cluster lattice's matrix
+    low = HierarchicalOperator(t, op.weights[:3], tail=0.05, potential=op.potential)
+    full = low.dense()
+    q = t.cluster_lattice(2)
+    for base in (0, 6):
+        cut = HierarchicalOperator(q, op.weights[:3], 0.05, op.potential[base : base + 6])
+        assert np.array_equal(cut.dense(), full[base : base + 6, base : base + 6])
 
 
 def _random_symmetric(n, seed):
