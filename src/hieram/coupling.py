@@ -68,8 +68,10 @@ class CouplingSequence:
         return 1.0 - self.tail(r)
 
     def log_p(self, r: int) -> float:
-        """log p_r for p_r > 0; overridden where p_r is subnormal."""
-        return math.log(self.p(r))
+        """log p_r, -inf for a weight that is exactly 0; overridden with a
+        closed form where p_r underflows."""
+        p = self.p(r)
+        return math.log(p) if p > 0.0 else -math.inf
 
     def log_tail(self, r: int) -> float:
         """log(1 - lambda_r); overridden where the tail underflows."""
@@ -339,18 +341,19 @@ def _exp(log_term: float) -> float:
 def main_hypothesis_terms(
     seq: CouplingSequence, t: Truncation | HierarchySpec, u: PowerSequence, r_max: int
 ) -> list[float]:
-    """p_r N_{r-1} u_{r-1} u_r for r = 1..r_max; a zero or underflowed p_r
-    gives 0, not 0 * inf, and a term whose float N_{r-1} is past the range
-    is formed in logs, from log p_r and the exact N_{r-1}."""
+    """p_r N_{r-1} u_{r-1} u_r for r = 1..r_max.  A term whose float p_r
+    underflows or whose float N_{r-1} is past the range is formed in logs,
+    from log p_r and the exact N_{r-1}; a weight that is exactly 0 gives 0."""
     terms = []
     n_prev, exact = 1.0, 1
     for r in range(1, r_max + 1):
         p = seq.p(r)
-        if p and math.isinf(n_prev):
-            logs = seq.log_p(r) + math.log(exact) + math.log(u(r - 1)) + math.log(u(r))
-            terms.append(_exp(logs))
-        else:
-            terms.append(p * n_prev * u(r - 1) * u(r) if p else 0.0)
+        if p and not math.isinf(n_prev):
+            terms.append(p * n_prev * u(r - 1) * u(r))
+        elif (log_p := seq.log_p(r)) > -math.inf:
+            terms.append(_exp(log_p + math.log(exact) + math.log(u(r - 1)) + math.log(u(r))))
+        else:  # a weight that is exactly 0
+            terms.append(0.0)
         n_prev *= t.factor(r)
         exact *= t.factor(r)
     return terms
@@ -412,14 +415,17 @@ def fractional_moment_bounds(
     for r in range(1, r_max + 1):
         n_r *= t.factor(r)
         exact *= t.factor(r)
-        p = seq.p(r)  # as in main_hypothesis_terms: 0 where p_r is, logs past N_r's range
-        if p and math.isinf(n_r):
-            log_p, log_n = seq.log_p(r), (1.0 - s) * math.log(exact)
+        p = seq.p(r)  # as in main_hypothesis_terms: logs past p_r's or N_r's range
+        if p and not math.isinf(n_r):
+            lower_terms.append(p * n_r ** (1.0 - s))
+            upper_terms.append(p**s * n_r ** (1.0 - s))
+        elif (log_p := seq.log_p(r)) > -math.inf:
+            log_n = (1.0 - s) * math.log(exact)
             lower_terms.append(_exp(log_p + log_n))
             upper_terms.append(_exp(s * log_p + log_n))
-        else:
-            lower_terms.append(p * n_r ** (1.0 - s) if p else 0.0)
-            upper_terms.append(p**s * n_r ** (1.0 - s) if p else 0.0)
+        else:  # a weight that is exactly 0
+            lower_terms.append(0.0)
+            upper_terms.append(0.0)
     low_ratio, up_ratio, q = math.nan, math.nan, 0.0
     if t.degree is not None and seq.decay is not None:
         # p_r N_r^{1-s} and p_r^s N_r^{1-s} ~ r^q and r^{sq} times a ratio^r

@@ -36,7 +36,9 @@ from .hierarchy import Truncation
 from .operators import cluster_cut, potential_values
 
 POLE_TOL = 1e-12
-SWEEP_CELLS = 2**17  # energies x sites per sweep chunk: 1 MiB level-0 arrays
+# energies x sites per sweep chunk; the chunk's workspace (_levels) holds
+# 4 / n_1 + 1 / (n_1 n_2) times as many doubles, 2.25 at degree 2
+SWEEP_CELLS = 2**17
 
 
 class PoleProximityError(ArithmeticError):
@@ -73,51 +75,98 @@ class GreenCascade:
 
 
 def _buffer(work, key, shape, dtype=float):
-    """The workspace array under key, cut to shape[0] rows.  It is made at the
-    first request, which must be the largest: a sweep's first chunk is its
-    widest.  The caller owns work, so no two calls share a buffer."""
+    """A C-contiguous array of the given 2-D shape on the flat workspace buffer
+    under key.  The buffer is made at the first request, which must be the
+    largest: the level kernel asks for each key first at its widest level, and
+    a sweep's first chunk is its widest.  The caller owns work, so no two calls
+    share a buffer."""
+    size = shape[0] * shape[1]
     if key not in work:
-        work[key] = np.empty(shape, dtype)
-    return work[key][: shape[0]]
+        work[key] = np.empty(size, dtype)
+    return work[key][:size].reshape(shape)
 
 
 def _child_sums(a, n, out):
     """Sums over each run of n consecutive entries of the last axis, the
     children of a cluster, in child order, written into out."""
-    np.copyto(out, a[..., 0::n])
-    for j in range(1, n):
+    np.add(a[..., 0::n], a[..., 1::n], out=out)
+    for j in range(2, n):
         np.add(out, a[..., j::n], out=out)
     return out
 
 
-def _levels(t, seq, values, z, r, work):
+def _level0_ok(values, z, work):
+    """The level-0 pole guard: min over the sites of |values - z| >= POLE_TOL,
+    per point of z.  Float subtraction is monotone, so at a real z the least
+    |fl(V - z)| is at one of z's two neighbours in the sorted potential, which
+    is kept in work for a sweep's later chunks: O((N + len(z)) log N) in all.
+    At a complex z the minimum is taken directly."""
+    if np.iscomplexobj(z):
+        return np.abs(values - z[:, None]).min(axis=1) >= POLE_TOL
+    if "sorted" not in work:
+        work["sorted"] = np.sort(values)
+    v = work["sorted"]
+    i = np.searchsorted(v, z)
+    below = np.abs(v[np.maximum(i - 1, 0)] - z)
+    above = np.abs(v[np.minimum(i, v.size - 1)] - z)
+    return np.minimum(below, above) >= POLE_TOL
+
+
+def _levels(t, seq, values, z, r, work, ok, squares=False):
     """The alpha/beta recursion over a 1-D array z of evaluation points.
 
-    Yields (denom, alpha, ok) for s = 0..r, arrays of shape (len(z), rank-s
-    clusters): denom = values - z at s = 0, else 1 + p_s beta with beta the
-    children's mean alpha; alpha = beta / denom (beta = 1 at s = 0).  ok is
-    the running pole mask, False from the first level with |denom| below
-    POLE_TOL, past which alpha is not meaningful.  The dtype follows z.
-    denom and alpha are per-level buffers of the workspace dict work.
+    Yields (denom, alpha, w) for s = 1..r, arrays of shape (len(z), rank-s
+    clusters): denom = 1 + p_s beta with beta the children's mean alpha, and
+    alpha = beta / denom.  Level 0, alpha_0 = 1 / (values - z), is folded into
+    level 1: it is formed one child slot at a time, in a scratch of the level-1
+    shape, and summed into the level-1 sums, so no array spans the sites.  With
+    squares, w = W_s, the squared norms of the level vectors over the rank-s
+    clusters (see _sweep); else None.  ok is the level-0 mask (_level0_ok),
+    cut in place from the first level with |denom| below POLE_TOL, past which
+    alpha is not meaningful.  The dtype follows z.
+
+    Two levels are live at a time: alpha and w alternate between two buffers
+    of the workspace dict work (by s mod 2), and every level shares one denom
+    buffer.  The other alpha buffer, dead once its children are summed, is
+    the level's scratch (alpha_0 of a child slot, |denom|, F_s, then F_s^2).
+    So a yielded denom and alpha hold until the next level is formed, and w
+    until the one after it.
     """
-    ok = np.ones(z.size, dtype=bool)
     dtype = np.result_type(values, z)
-    for s in range(r + 1):
+    alpha = w = None
+    for s in range(1, r + 1):
+        n_s = t.factor(s)
         shape = (z.size, t.site_count // t.sizes[s])
-        denom = _buffer(work, ("denom", s), shape, dtype)
-        mag = _buffer(work, ("|denom|", s), shape)
-        alpha_s = _buffer(work, ("alpha", s), shape, dtype)  # beta, then alpha
+        children, children_w = alpha, w
+        alpha = _buffer(work, ("alpha", s % 2), shape, dtype)  # sums, beta, then alpha
+        scratch = _buffer(work, ("alpha", 1 - s % 2), shape, dtype)
+        denom = _buffer(work, "denom", shape, dtype)
+        if squares:
+            w = _buffer(work, ("W", s % 2), shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if s:
-                n_s = t.factor(s)
-                beta = np.divide(_child_sums(alpha, n_s, alpha_s), n_s, out=alpha_s)
-                np.add(1.0, np.multiply(seq.p(s), beta, out=denom), out=denom)
-            else:
-                beta = 1.0
-                np.subtract(values[None, :], z[:, None], out=denom)
-            ok &= np.abs(denom, out=mag).min(axis=1) >= POLE_TOL
-            alpha = np.divide(beta, denom, out=alpha_s)
-        yield denom, alpha, ok
+            if s == 1:  # alpha_0 and W_0 = alpha_0^2 of child slot j, in child order
+                for j in range(n_s):
+                    a_0 = scratch if j else alpha
+                    np.divide(1.0, np.subtract(values[j::n_s], z[:, None], out=a_0), out=a_0)
+                    if j:
+                        np.add(alpha, a_0, out=alpha)
+                    if squares and j:
+                        np.add(w, np.square(a_0, out=a_0), out=w)
+                    elif squares:
+                        np.square(a_0, out=w)
+            else:  # children is read here before scratch overwrites it
+                _child_sums(children, n_s, alpha)
+                if squares:
+                    _child_sums(children_w, n_s, w)
+            beta = np.divide(alpha, n_s, out=alpha)
+            np.add(1.0, np.multiply(seq.p(s), beta, out=denom), out=denom)
+            ok &= np.abs(denom, out=scratch.real).min(axis=1) >= POLE_TOL
+            np.divide(beta, denom, out=alpha)
+            if squares:  # W_s = F_s^2 times the children's W_{s-1}
+                f = np.multiply(math.sqrt(n_s), denom, out=scratch)
+                f = np.divide(1.0, f, out=f)  # F_s = 1 / (sqrt(n_s) d_s)
+                np.multiply(w, np.square(f, out=f), out=w)
+        yield denom, alpha, w
 
 
 def build_cascade(
@@ -137,16 +186,19 @@ def build_cascade(
     values = potential_values(t, omega)
     z = complex(z)
     point = np.array([z.real if z.imag == 0.0 else z])
-    levels, alphas = [], []
-    for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, point, r, {})):
+    work = {}
+    ok = _level0_ok(values, point, work)
+    if not ok[0]:
+        raise PoleProximityError(0, z)
+    v_0 = 1.0 / (values - point[0])
+    levels, alphas = [v_0], [v_0]
+    for s, (denom, alpha, _) in enumerate(_levels(t, seq, values, point, r, work, ok), 1):
         if not ok[0]:
             raise PoleProximityError(s, z)
-        alphas.append(alpha[0])
-        if s:  # v_s = v_{s-1} / (sqrt(n_s) d_s) on each rank-s cluster
-            scale = math.sqrt(t.factor(s)) * np.repeat(denom[0], t.sizes[s])
-            levels.append(levels[-1] / scale)
-        else:
-            levels.append(alpha[0])
+        alphas.append(alpha[0].copy())
+        # v_s = v_{s-1} / (sqrt(n_s) d_s) on each rank-s cluster
+        scale = math.sqrt(t.factor(s)) * np.repeat(denom[0], t.sizes[s])
+        levels.append(levels[-1] / scale)
     return GreenCascade(t, seq, values, z, r, tuple(levels), tuple(alphas))
 
 
@@ -203,16 +255,6 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_step(t, w, denom, s, work):
-    """W_s from W_{s-1} over the rank-s clusters, and F_s there, both in
-    buffers of work."""
-    n_s = t.factor(s)
-    f_q, f_sq, w_s = (_buffer(work, (name, s), denom.shape) for name in ("F", "F^2", "W"))
-    np.divide(1.0, np.multiply(math.sqrt(n_s), denom, out=f_q), out=f_q)
-    np.multiply(_child_sums(w, n_s, w_s), np.square(f_q, out=f_sq), out=w_s)
-    return w_s, f_q
-
-
 def _sweep(t, seq, values, energies, x, r, work):
     """Moment ladder S_0..S_r(e) and pole mask over real energies.
 
@@ -243,27 +285,32 @@ def _sweep(t, seq, values, energies, x, r, work):
     shells = np.empty((r, n_e))
     amps = np.zeros((r, n_e))  # amps[s-1] = A_{s',s} at the current rank s'
     spans = np.empty((r, n_e))  # spans[s-1] = prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
-    levels = _levels(t, seq, values, energies, r, work)
-    _, alpha, ok = next(levels)
+    ok = _level0_ok(values, energies, work)
+    levels = _levels(t, seq, values, energies, r, work, ok, squares=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v_x = alpha[:, x].copy()  # v_s(x), the level vector at x
+        v_x = 1.0 / (values[x] - energies)  # v_s(x), the level vector at x
         g_xx = v_x.copy()  # G_s(x, x)
-        w = np.square(alpha, out=_buffer(work, ("W", 0), alpha.shape))  # W_s
         moments[0] = g_xx**2
-        for s, (denom, _, ok) in enumerate(levels, start=1):
+        for s, (denom, _, w_s) in enumerate(levels, start=1):
             n_s = t.factor(s)
             parent = x // sizes[s]
             child = x // sizes[s - 1] % n_s
-            siblings = np.delete(w[:, parent * n_s : (parent + 1) * n_s], child, axis=1)
-            shells[s - 1] = siblings.sum(axis=1)
-            w, f_q = _cluster_step(t, w, denom, s, work)
+            kids = slice(parent * n_s, (parent + 1) * n_s)
+            if s == 1:  # W_0 is not kept: its values on Q_1(x) from the potential
+                block = np.square(1.0 / (values[kids] - energies[:, None]))
+            else:
+                block = w[:, kids]  # W_{s-1}, still live
+            shells[s - 1] = np.delete(block, child, axis=1).sum(axis=1)
+            w = w_s
+            d_q = denom[:, parent]  # d_s(Q_s(x)); the next level overwrites denom
+            f_q = 1.0 / (math.sqrt(n_s) * d_q)  # F_s(Q_s(x)), as the kernel rounds it
             p_s = seq.p(s)
             b = p_s * sizes[s - 1] / math.sqrt(sizes[s]) * (v_x / math.sqrt(sizes[s - 1]))
             # divide as build_cascade does, so G_s(x, x) rounds like the column
-            v_x = v_x / (math.sqrt(n_s) * denom[:, parent])
+            v_x = v_x / (math.sqrt(n_s) * d_q)
             g_xx = g_xx - b * v_x
             spans[s - 1] = 1.0
-            spans[:s] *= f_q[:, parent]
+            spans[:s] *= f_q
             amps[:s] += b * spans[:s]
             moments[s] = g_xx**2 + np.sum(amps[:s] ** 2 * shells[:s], axis=0)
     return moments, ok
@@ -272,12 +319,11 @@ def _sweep(t, seq, values, energies, x, r, work):
 def _norm_sweep(t, seq, values, energies, x, r, work):
     """Cluster norm N_r W_r(Q_r(x)) and pole mask over real energies: the W_s
     recursion of _sweep alone, without shells, amplitudes or moments."""
+    ok = _level0_ok(values, energies, work)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, energies, r, work)):
-            if s:
-                w = _cluster_step(t, w, denom, s, work)[0]
-            else:
-                w = np.square(alpha, out=_buffer(work, ("W", 0), alpha.shape))
+        w = np.square(1.0 / (values[x] - energies))[:, None]  # W_0(x), the answer at r = 0
+    for _, _, w in _levels(t, seq, values, energies, r, work, ok, squares=True):
+        pass
     return t.sizes[r] * w[:, 0], ok
 
 
@@ -292,6 +338,7 @@ def _sweep_grid(sweep, t, seq, omega, energies, r, x):
         sweep(q, seq, values, energies[lo : lo + chunk], x_q, r, work)
         for lo in range(0, max(energies.size, 1), chunk)
     ]
+    work.clear()  # free the workspace before the outputs are joined
     return tuple(np.concatenate(out, axis=-1) for out in zip(*parts))
 
 

@@ -174,6 +174,41 @@ def test_overflowing_log_space_terms_read_inf():
     assert math.isfinite(main.terms[230]) and main.terms[260] == math.inf
 
 
+def test_underflowed_weights_keep_their_terms():
+    # p_r = 2^-r is 0.0 in float from r = 1075 on, while log p_r is exact
+    u = PowerSequence(1.1)
+    seq = GeometricCoupling(2.0)
+    # degree 40: the terms are about 20^r, past the float range, not 0
+    main = check_main_hypothesis(seq, HierarchySpec.homogeneous(40, 2), u, 1100)
+    assert main.verdict == DIVERGES_ANALYTIC
+    assert all(term == math.inf for term in main.terms[236:])
+    # degree 2: p_r N_{r-1} = 1/2, so the terms stay u_{r-1} u_r / 2
+    main = check_main_hypothesis(seq, HierarchySpec.homogeneous(2, 2), u, 1100)
+    exact = [u(r - 1) * u(r) / 2 for r in range(1, 1101)]
+    assert np.allclose(main.terms[1024:], exact[1024:], rtol=1e-12, atol=0)
+    n_prev = 1.0
+    for r in range(1, 1025):  # in range: the float product, bit for bit
+        assert main.terms[r - 1] == seq.p(r) * n_prev * u(r - 1) * u(r)
+        n_prev *= 2
+    # the fractional-moment upper terms p_r^s N_r^{1-s} are 1 at s = 1/2
+    bracket = fractional_moment_bounds(seq, HierarchySpec.homogeneous(2, 2), 0.5, 1100)
+    assert np.allclose(bracket.upper.terms, 1.0, rtol=1e-12, atol=0)
+    lower = [2.0 ** (-r / 2) for r in range(1075, 1101)]  # p_r N_r^{1/2} = 2^{-r/2}
+    assert np.allclose(bracket.lower.terms[1074:], lower, rtol=1e-12, atol=0)
+
+
+def test_zero_explicit_weights_stay_zero():
+    # p_r is exactly 0 past the list: not an underflow, so no log-space term
+    seq = ExplicitCoupling([0.5, 0.5])
+    assert seq.log_p(3) == -math.inf
+    spec = HierarchySpec.homogeneous(40, 2)
+    main = check_main_hypothesis(seq, spec, PowerSequence(1.1), 300)
+    assert np.array_equal(main.terms[2:], np.zeros(298))
+    bracket = fractional_moment_bounds(seq, spec, 0.5, 300)
+    assert np.array_equal(bracket.lower.terms[2:], np.zeros(298))
+    assert np.array_equal(bracket.upper.terms[2:], np.zeros(298))
+
+
 def test_power_sequence_contract():
     u = PowerSequence(2.0)
     assert u(0) == 0.0

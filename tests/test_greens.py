@@ -562,3 +562,18 @@ def test_sweep_memory_does_not_grow_with_n(sweep):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("sweep", [moment_ladder_sweep, cluster_norm_sweep])
+def test_sweep_workspace_holds_two_levels_without_site_arrays(sweep):
+    # the bound-n1024 shape (N = 1024, rank 10, 4001 energies): a workspace of
+    # one buffer set per level plus (chunk x N) level-0 arrays peaked at 10 MiB
+    t, seq, omega = _setup(depth=10)
+    energies = np.linspace(-0.5, 1.5, 4001)
+    tracemalloc.start()
+    try:
+        sweep(t, seq, omega, energies, t.depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
