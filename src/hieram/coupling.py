@@ -48,34 +48,46 @@ class PowerSequence:
 class CouplingSequence:
     """Positive weights p_r (r >= 1, p_0 = 0) with total mass 1.
 
+    The public methods own the rank rule (r >= 0, p_0 = 0); a family gives
+    _p and _tail for r >= 1, and _log_p / _log_tail where they underflow.
+
     ``decay`` is (a, q) when p_r = C r^q a^{-r} for every r >= 1 with q <= 0,
     the closed form the checkers compare against, and None otherwise.
     """
 
     decay: tuple[float, float] | None = None
 
+    @staticmethod
+    def _rank(r: int) -> int:
+        if r < 0:
+            raise ValueError(f"rank must be >= 0, got {r}")
+        return r
+
     def p(self, r: int) -> float:
-        raise NotImplementedError
+        return 0.0 if self._rank(r) == 0 else self._p(r)
 
     def tail(self, r: int) -> float:
         """1 - lambda_r = sum_{s>r} p_s."""
-        raise NotImplementedError
+        return self._tail(self._rank(r))
 
     def lam(self, r: int) -> float:
         """Partial sum lambda_r = sum_{s<=r} p_s."""
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
         return 1.0 - self.tail(r)
 
     def log_p(self, r: int) -> float:
-        """log p_r, -inf for a weight that is exactly 0; overridden with a
-        closed form where p_r underflows."""
-        p = self.p(r)
-        return math.log(p) if p > 0.0 else -math.inf
+        """log p_r, -inf for a weight that is exactly 0."""
+        return -math.inf if self._rank(r) == 0 else self._log_p(r)
 
     def log_tail(self, r: int) -> float:
-        """log(1 - lambda_r); overridden where the tail underflows."""
-        t = self.tail(r)
+        """log(1 - lambda_r)."""
+        return self._log_tail(self._rank(r))
+
+    def _log_p(self, r: int) -> float:
+        p = self._p(r)
+        return math.log(p) if p > 0.0 else -math.inf
+
+    def _log_tail(self, r: int) -> float:
+        t = self._tail(r)
         return math.log(t) if t > 0.0 else -math.inf
 
     def weighted_tail(self, r: int, geometry: HierarchySpec | Truncation) -> float:
@@ -105,22 +117,16 @@ class GeometricCoupling(CouplingSequence):
         self.rho = float(rho)
         self.decay = (self.rho, 0.0)
 
-    def p(self, r: int) -> float:
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
-        if r == 0:
-            return 0.0
+    def _p(self, r: int) -> float:
         return (self.rho - 1.0) * self.rho ** (-r)
 
-    def tail(self, r: int) -> float:
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
+    def _tail(self, r: int) -> float:
         return self.rho ** (-r)
 
-    def log_p(self, r: int) -> float:
+    def _log_p(self, r: int) -> float:
         return math.log(self.rho - 1.0) - r * math.log(self.rho)
 
-    def log_tail(self, r: int) -> float:
+    def _log_tail(self, r: int) -> float:
         return -r * math.log(self.rho)
 
 
@@ -151,31 +157,25 @@ class PolyGeometricCoupling(CouplingSequence):
                 return total
             r += 1
 
-    def p(self, r: int) -> float:
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
-        if r == 0:
-            return 0.0
+    def _p(self, r: int) -> float:
         return self.normalizer * self._raw_term(r)
 
-    def log_p(self, r: int) -> float:
+    def _log_p(self, r: int) -> float:
         decay = (3.0 + self.epsilon) * math.log(r) + r * math.log(self.n)
         return math.log(self.normalizer) - decay
 
-    def tail(self, r: int) -> float:
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
+    def _tail(self, r: int) -> float:
         total = 0.0
         s = r + 1
         while True:
-            term = self.p(s)
+            term = self._p(s)
             total += term
             if term == 0.0 or term <= (self.n - 1) * 1e-17 * total:
                 return total
             s += 1
 
-    def log_tail(self, r: int) -> float:
-        t = self.tail(r)
+    def _log_tail(self, r: int) -> float:
+        t = self._tail(r)
         if t > 0.0:
             return math.log(t)
         # below float underflow: first tail term with its geometric completion
@@ -215,16 +215,10 @@ class ExplicitCoupling(CouplingSequence):
     def length(self) -> int:
         return self.weights.size
 
-    def p(self, r: int) -> float:
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
-        if r == 0 or r > self.length:
-            return 0.0
-        return float(self.weights[r - 1])
+    def _p(self, r: int) -> float:
+        return float(self.weights[r - 1]) if r <= self.length else 0.0
 
-    def tail(self, r: int) -> float:
-        if r < 0:
-            raise ValueError(f"rank must be >= 0, got {r}")
+    def _tail(self, r: int) -> float:
         return float(self._suffix[min(r, self.length)])
 
     def weighted_tail(self, r: int, geometry) -> float:
@@ -338,22 +332,28 @@ def _exp(log_term: float) -> float:
         return math.inf
 
 
+def _term(seq, r, n, exact, *factors, a=1.0, b=1.0) -> float:
+    """The series term p_r^a N^b f_1 f_2 ..., n the caller's running float N.
+    While p_r > 0 and n is finite it is the float product in that order; else
+    it is formed in logs, from log p_r and the exact N: 0 for a weight that is
+    exactly 0, inf past the float range."""
+    p = seq.p(r)
+    if p > 0.0 and not math.isinf(n):
+        return math.prod((p**a * n**b, *factors))
+    log_term = a * seq.log_p(r) + b * math.log(exact)  # -inf for a weight of 0
+    for f in factors:
+        log_term += math.log(f)
+    return _exp(log_term)
+
+
 def main_hypothesis_terms(
     seq: CouplingSequence, t: Truncation | HierarchySpec, u: PowerSequence, r_max: int
 ) -> list[float]:
-    """p_r N_{r-1} u_{r-1} u_r for r = 1..r_max.  A term whose float p_r
-    underflows or whose float N_{r-1} is past the range is formed in logs,
-    from log p_r and the exact N_{r-1}; a weight that is exactly 0 gives 0."""
+    """p_r N_{r-1} u_{r-1} u_r for r = 1..r_max (see _term)."""
     terms = []
     n_prev, exact = 1.0, 1
     for r in range(1, r_max + 1):
-        p = seq.p(r)
-        if p and not math.isinf(n_prev):
-            terms.append(p * n_prev * u(r - 1) * u(r))
-        elif (log_p := seq.log_p(r)) > -math.inf:
-            terms.append(_exp(log_p + math.log(exact) + math.log(u(r - 1)) + math.log(u(r))))
-        else:  # a weight that is exactly 0
-            terms.append(0.0)
+        terms.append(_term(seq, r, n_prev, exact, u(r - 1), u(r)))
         n_prev *= t.factor(r)
         exact *= t.factor(r)
     return terms
@@ -382,7 +382,7 @@ def check_molchanov_condition(
     """Evaluate sum_r p_r u_r, the Cauchy-disorder summability condition."""
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
-    terms = [seq.p(r) * u(r) for r in range(1, r_max + 1)]
+    terms = [_term(seq, r, 1.0, 1, u(r), b=0.0) for r in range(1, r_max + 1)]
     a, q = seq.decay or (1.0, 0.0)
     ratio = 1.0 / a if seq.decay else math.nan
     return _series("molchanov", u, terms, seq, ratio, u.exponent + q)
@@ -415,17 +415,8 @@ def fractional_moment_bounds(
     for r in range(1, r_max + 1):
         n_r *= t.factor(r)
         exact *= t.factor(r)
-        p = seq.p(r)  # as in main_hypothesis_terms: logs past p_r's or N_r's range
-        if p and not math.isinf(n_r):
-            lower_terms.append(p * n_r ** (1.0 - s))
-            upper_terms.append(p**s * n_r ** (1.0 - s))
-        elif (log_p := seq.log_p(r)) > -math.inf:
-            log_n = (1.0 - s) * math.log(exact)
-            lower_terms.append(_exp(log_p + log_n))
-            upper_terms.append(_exp(s * log_p + log_n))
-        else:  # a weight that is exactly 0
-            lower_terms.append(0.0)
-            upper_terms.append(0.0)
+        lower_terms.append(_term(seq, r, n_r, exact, b=1.0 - s))
+        upper_terms.append(_term(seq, r, n_r, exact, a=s, b=1.0 - s))
     low_ratio, up_ratio, q = math.nan, math.nan, 0.0
     if t.degree is not None and seq.decay is not None:
         # p_r N_r^{1-s} and p_r^s N_r^{1-s} ~ r^q and r^{sq} times a ratio^r

@@ -27,7 +27,9 @@ to catch PoleProximityError and skip the offending grid point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -211,22 +213,28 @@ class GreenQueryResult:
     first_level: int
 
     def check_sum(self, g0: complex) -> complex:
-        return g0 - sum(self.terms)
+        """g0 less the terms, one level at a time, as the entry is formed."""
+        return reduce(operator.sub, self.terms, g0)
+
+
+def _level_term(c: GreenCascade, x: int, s: int, sites: slice) -> np.ndarray:
+    """The level-s term p_s N_{s-1} g_{s-1}(x) g_s(y) of G(x, y) over the
+    sites y of a slice, which lie in the rank-s cluster of x."""
+    t = c.trunc
+    coeff = c.coupling.p(s) * t.sizes[s - 1] * c.g(s - 1, x) / math.sqrt(t.sizes[s])
+    return coeff * c.levels[s][sites]
 
 
 def green_entry(c: GreenCascade, x: int, y: int, r: int) -> GreenQueryResult:
-    """Resolvent entry G_r(x, y; z) via the level expansion; O(r) per query."""
+    """Resolvent entry G_r(x, y; z), green_column's row y, in O(r) time."""
     t = c.trunc
     if not 0 <= r <= c.depth:
         raise ValueError(f"rank {r} exceeds cascade depth {c.depth}")
     d = t.distance(x, y)
     g0 = 1.0 / (c.omega[x] - c.z) if x == y else 0.0
     first = max(1, d)
-    terms = tuple(
-        c.coupling.p(s) * t.sizes[s - 1] * c.g(s - 1, x) * c.g(s, y)
-        for s in range(first, r + 1)
-    )
-    return GreenQueryResult(g0 - sum(terms), terms, first)
+    terms = tuple(_level_term(c, x, s, slice(y, y + 1))[0] for s in range(first, r + 1))
+    return GreenQueryResult(reduce(operator.sub, terms, g0), terms, first)
 
 
 def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
@@ -243,9 +251,8 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
     col[x] = 1.0 / (c.omega[x] - c.z)
     for s in range(1, r + 1):
         n_s = t.sizes[s]
-        lo = (x // n_s) * n_s
-        coeff = c.coupling.p(s) * t.sizes[s - 1] * c.g(s - 1, x) / math.sqrt(n_s)
-        col[lo : lo + n_s] -= coeff * c.levels[s][lo : lo + n_s]
+        cluster = slice((x // n_s) * n_s, (x // n_s + 1) * n_s)
+        col[cluster] -= _level_term(c, x, s, cluster)
     moment = float(np.sum(np.abs(col) ** 2))
     return col, moment
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .coupling import CouplingSequence, GeometricCoupling
+from .coupling import CouplingSequence, GeometricCoupling, _exp
 from .hierarchy import HierarchySpec, Truncation
 
 
@@ -209,10 +209,8 @@ def walk_classification(
     log_n = 0.0
     for r in range(r_max + 1):
         f_next = geometry.factor(r + 1)
-        try:  # a vanishing tail (log_tail -inf) gives exp(inf) = inf
-            terms[r] = math.exp(math.log1p(-1.0 / f_next) - log_n - seq.log_tail(r))
-        except OverflowError:
-            terms[r] = math.inf
+        # a vanishing tail (log_tail -inf) gives exp(inf) = inf
+        terms[r] = _exp(math.log1p(-1.0 / f_next) - log_n - seq.log_tail(r))
         log_n += math.log(f_next)
     with np.errstate(over="ignore"):
         sums = np.cumsum(terms)

@@ -381,6 +381,23 @@ def test_green_ignores_poles_outside_the_cluster_of_the_site(tmp_path):
     assert summary["moment"] == pytest.approx(np.sum(solve**2), rel=1e-12)
 
 
+def test_green_entry_is_its_column_row(tmp_path):
+    cfg = base_config(
+        hierarchy={"degree": 2, "depth": 8},
+        disorder={"kind": "cauchy", "location": 0.0, "scale": 1.0},
+        seed=0,
+        z={"re": 0.5, "im": 1.0},
+        site=0,
+        target=5,
+    )
+    out = tmp_path / "out"
+    assert main(["green", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "green_column.csv", newline="") as fh:
+        row = list(csv.DictReader(fh))[5]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["entry"] == [float(row["re"]), float(row["im"])]
+
+
 def test_green_target_outside_the_cluster_reads_zero(tmp_path):
     # Q_2(5) = sites 4..7, and target 12 lies in another rank-2 cluster
     cfg = base_config(z={"re": 0.3, "im": 0.9}, rank=2, site=5, target=12)

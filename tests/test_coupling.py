@@ -406,3 +406,28 @@ def test_main_hypothesis_boundary_diverges(k):
     if u - 0.005 > 1.0:
         below = check_main_hypothesis(seq, spec, PowerSequence(u - 0.005))
         assert below.verdict == CONVERGES_ANALYTIC
+
+
+def test_molchanov_terms_past_the_underflow_of_p_are_formed_in_logs():
+    # p_r = 2^-r is 0.0 in float from r = 1075, while p_r u_r is still normal
+    seq, u = GeometricCoupling(2.0), PowerSequence(100.0)
+    rep = check_molchanov_condition(seq, u, 1100)
+    assert rep.terms[1074] == pytest.approx(3.4166546748497736e-21, rel=1e-12)
+    assert rep.terms[1074] == pytest.approx(math.exp(seq.log_p(1075) + math.log(u(1075))), rel=1e-12)
+    for r in range(1, 1101):
+        if seq.log_p(r) + math.log(u(r)) >= math.log(5e-324):
+            assert rep.terms[r - 1] > 0.0
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [GeometricCoupling(4.0), PolyGeometricCoupling(3, 0.5), ExplicitCoupling([0.6, 0.4])],
+    ids=["geometric", "polygeometric", "explicit"],
+)
+def test_every_family_keeps_the_rank_rule(seq):
+    assert seq.p(0) == 0.0
+    assert seq.log_p(0) == -math.inf
+    assert seq.tail(0) == pytest.approx(1.0, rel=1e-12)
+    for method in (seq.p, seq.tail, seq.log_p, seq.log_tail, seq.lam):
+        with pytest.raises(ValueError, match="rank must be >= 0"):
+            method(-1)

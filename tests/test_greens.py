@@ -4,16 +4,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hieram import (
     Bernoulli,
     Cauchy,
+    ExplicitCoupling,
     Gaussian,
     GeometricCoupling,
     HierarchySpec,
     PoleProximityError,
+    PolyGeometricCoupling,
     Uniform,
     build_cascade,
     build_truncation,
@@ -577,3 +579,68 @@ def test_sweep_workspace_holds_two_levels_without_site_arrays(sweep):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+COUPLINGS = (
+    st.floats(1.5, 8.0).map(GeometricCoupling),
+    st.builds(PolyGeometricCoupling, st.integers(2, 5), st.floats(0.1, 2.0)),
+    st.sampled_from([ExplicitCoupling([0.5, 0.3], 0.2), ExplicitCoupling([0.6, 0.4])]),
+)
+
+
+@st.composite
+def cascades(draw, complex_only=False):
+    """A cascade at a drawn point over a plan with factors 2-5 (at most 64
+    sites), a coupling of each family and each disorder kind.  The point is
+    real or complex; with complex_only its imaginary part is 10^-k, k in [0, 6]."""
+    factors = draw(
+        st.one_of(
+            st.sampled_from([[2] * 6, [3, 2, 4, 2], [4, 4, 4], [5, 3, 4]]),
+            st.lists(st.integers(2, 5), min_size=1, max_size=6).filter(lambda f: math.prod(f) <= 64),
+        )
+    )
+    t = build_truncation(HierarchySpec.explicit(factors))
+    seq = draw(st.one_of(COUPLINGS))
+    omega = sample_potential(draw(st.sampled_from(DISORDERS)), t, draw(st.integers(0, 2**32)), 0)
+    re = draw(st.floats(-2.0, 3.0))
+    if complex_only:
+        im = 10.0 ** -draw(st.floats(0.0, 6.0))
+    else:
+        im = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    try:
+        return build_cascade(t, seq, omega, complex(re, im))
+    except PoleProximityError:
+        assume(False)
+
+
+@given(c=cascades())
+@settings(max_examples=30)
+def test_entry_is_the_column_row_bit_for_bit(c):
+    t = c.trunc
+    for x in range(t.site_count):
+        for r in range(t.depth + 1):
+            column = green_column(c, x, r)[0]
+            g0 = 1.0 / (c.omega[x] - c.z)
+            for y in range(t.site_count):
+                query = green_entry(c, x, y, r)
+                assert query.value == column[y]
+                assert query.check_sum(g0 if x == y else 0.0) == query.value
+
+
+@given(c=cascades(complex_only=True))
+def test_column_keeps_the_ward_identity(c):
+    # ||G_r delta_x||^2 = Im G_r(x, x) / Im z, exactly for the symmetric H_r.
+    # The norm sums squares, but Im G_r(x, x) is a signed level sum, which
+    # cancels near a pole of a lower rank (a Bernoulli potential at z = 1e-3 i
+    # loses 7e-12 of it against a dense solve): the bound adds its rounding,
+    # 32 eps times the sum of |Im| over its terms.
+    t = c.trunc
+    eps = np.finfo(float).eps
+    for x in range(t.site_count):
+        g0 = 1.0 / (c.omega[x] - c.z)
+        for r in range(t.depth + 1):
+            column, moment = green_column(c, x, r)
+            terms = green_entry(c, x, x, r).terms
+            rounding = 32 * eps * (abs(g0.imag) + sum(abs(term.imag) for term in terms))
+            residual = abs(moment - column[x].imag / c.z.imag)
+            assert residual <= 1e-11 * moment + rounding / c.z.imag
