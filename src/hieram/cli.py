@@ -312,9 +312,10 @@ class OutputWriter:
         self.files.append("summary.json")
 
     def manifest(self, subcommand: str, config: dict):
-        # the output path does not define the experiment; leaving it out keeps
-        # manifests byte-identical across re-runs into different directories
-        config = {k: v for k, v in config.items() if k != "output_dir"}
+        # where a run writes and how many workers it uses do not define the
+        # experiment; leaving both out keeps manifests byte-identical across
+        # re-runs into other directories or at other --threads
+        config = {k: v for k, v in config.items() if k not in ("output_dir", "threads")}
         payload = {
             "artifact": "hieram",
             "version": __version__,
@@ -328,11 +329,7 @@ class OutputWriter:
 
 
 def _jsonable(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return x.tolist()
     raise TypeError(f"cannot serialize {type(x)}")
 
@@ -457,9 +454,8 @@ def resolve_ranks(cfg: dict, depth: int) -> list[int]:
 
 def run_spectrum(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    r = cfg.get("rank", t.depth)
+    r, cap = ctx["rank"], ctx["dense_cap"]
     include_tail = cfg.get("include_tail", True)
-    cap = cfg.get("dense_cap", operators.DENSE_CAP)
     if include_tail:
         exact = spectral.restricted_full_spectrum(t, seq, r)
         block = operators.compression_dense_block(t, seq, r, cap)
@@ -476,11 +472,9 @@ def run_spectrum(ctx, writer: OutputWriter) -> dict:
 
 
 def run_dos(ctx, writer: OutputWriter) -> dict:
-    t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    r = cfg.get("rank", t.depth)
-    r_max = cfg.get("r_max", max(r, 1))
-    cap = cfg.get("dense_cap", operators.DENSE_CAP)
-    nu = spectral.finite_volume_dos(t, seq, r, cap)
+    t, seq, r = ctx["trunc"], ctx["coupling"], ctx["rank"]
+    r_max = ctx["config"].get("r_max", max(r, 1))
+    nu = spectral.finite_volume_dos(t, seq, r, ctx["dense_cap"])
     mu = spectral.limiting_spectral_measure(t, seq, r_max)
     locations, weights = zip(*nu.atoms, *mu.atoms)
     source = np.repeat(["nu", "mu"], [len(nu.atoms), len(mu.atoms)])
@@ -560,9 +554,7 @@ def run_green(ctx, writer: OutputWriter) -> dict:
     dist = ctx["disorder"]
     z_cfg = cfg.get("z", {"re": 0.5, "im": 1.0})
     z = complex(z_cfg["re"], z_cfg["im"])
-    x = cfg.get("site", 0)
-    y = cfg.get("target", 0)
-    r = cfg.get("rank", t.depth)
+    x, y, r = ctx["site"], ctx["target"], ctx["rank"]
     omega = disorder.sample_potential(dist, t, cfg["seed"], 0)
     q, values, x_q = operators.cluster_cut(t, omega, r, x)
     cascade = greens.build_cascade(q, seq, values, z, r)
@@ -620,9 +612,9 @@ def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
         cfg.get("realizations", 1),
         grid,
         ranks,
-        cfg.get("site", 0),
+        ctx["site"],
         ipr_rank=ranks[-1] if ipr else None,
-        cap=cfg.get("dense_cap", operators.DENSE_CAP),
+        cap=ctx["dense_cap"],
         map_fn=ctx["map_fn"],
     )
     if not report.ok.any():
@@ -674,15 +666,20 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
     dist = ctx["disorder"]
     grid = resolve_grid(cfg, dist)
-    r = cfg.get("rank", t.depth)
-    u = coupling.PowerSequence(cfg.get("u_exponent", 2.0))
-    if r == 0 and "threshold" not in cfg:
-        raise ConfigError(
-            "bound: the default threshold (u_r N_r)^2 is 0 at rank 0; "
-            "set threshold or use a rank >= 1"
-        )
-    threshold = cfg.get("threshold", (u(r) * t.sizes[r]) ** 2)
-    site = cfg.get("site", 0)
+    r, site = ctx["rank"], ctx["site"]
+    threshold = cfg.get("threshold")
+    if threshold is None:
+        u = coupling.PowerSequence(cfg.get("u_exponent", 2.0))
+        try:
+            threshold = (u(r) * t.sizes[r]) ** 2
+        except OverflowError:  # u_r is finite, its square is not
+            threshold = math.inf
+        if not 0 < threshold < math.inf:  # u_0 = 0, or past the float range
+            hint = "use a rank >= 1" if r == 0 else "lower u_exponent"
+            raise ConfigError(
+                f"bound: the default threshold (u_r N_r)^2 is {threshold:g} at rank {r}; "
+                f"set threshold or {hint}"
+            )
     draws = range(cfg.get("realizations", 1))
     potentials = [disorder.sample_potential(dist, t, cfg["seed"], i) for i in draws]
 
@@ -746,62 +743,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(kind: str, detail: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "detail": detail}) + "\n")
+# (error types, error kind, exit code) for every step of main; the first match
+# wins, so DenseCapError goes before ValueError, its base class.  "config" also
+# takes a site or rank off the truncation and a config value past the float range
+_EXITS = (
+    (operators.DenseCapError, "dense-cap", 3),
+    (greens.PoleProximityError, "pole-proximity", 3),
+    (spectral.EigenvalueGroupingError, "eigenvalue-grouping", 3),
+    ((ValueError, OverflowError), "config", 2),
+    (RuntimeError, "runtime", 3),
+)
 
 
 def main(argv=None) -> int:
+    """Flags into the config, schema check, resolve, run, write: an error from
+    any step exits with the code _EXITS gives its type."""
     args = build_parser().parse_args(argv)
+    flags = dict(seed=args.seed, format=args.format, output_dir=args.out, threads=args.threads)
     try:
         config = load_config(args.config)
-        overrides = {"seed": args.seed, "format": args.format, "output_dir": args.out}
         if isinstance(config, dict):
-            config.update((k, v) for k, v in overrides.items() if v is not None)
+            config.update((k, v) for k, v in flags.items() if v is not None)
         validate_config(config)
         config = _as_integers(config, CONFIG_SCHEMA)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        out_dir = Path(config.get("output_dir", "hieram-out"))
-        fmt_name = config.get("format", "csv")
-        threads = args.threads or config.get("threads") or os.cpu_count() or 1
-
         t = Truncation(resolve_hierarchy(config))
-        t.check_rank(config.get("rank", 0))  # for every subcommand, before any work
-        for key in ("site", "target"):
-            t.check_site(config.get(key, 0))
+        # settings several runners share: read once, checked for every subcommand
         ctx = {
             "config": config,
             "trunc": t,
-            "coupling": resolve_coupling(config),
-            "disorder": resolve_disorder(config),
+            "rank": config.get("rank", t.depth),
+            "site": config.get("site", 0),
+            "target": config.get("target", 0),
+            "dense_cap": config.get("dense_cap", operators.DENSE_CAP),
         }
-    except (ValueError, OverflowError) as exc:  # ConfigError is a ValueError
-        _error("config", str(exc))
-        return 2
-
-    writer = OutputWriter(out_dir, fmt_name)
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        t.check_rank(ctx["rank"])
+        t.check_site(ctx["site"])
+        t.check_site(ctx["target"])
+        ctx["coupling"] = resolve_coupling(config)
+        ctx["disorder"] = resolve_disorder(config)
+        out_dir = Path(config.get("output_dir", "hieram-out"))
+        writer = OutputWriter(out_dir, config.get("format", "csv"))
+        with ThreadPoolExecutor(max_workers=config.get("threads", os.cpu_count() or 1)) as pool:
             ctx["map_fn"] = pool.map
             summary = RUNNERS[args.subcommand](ctx, writer)
-    except operators.DenseCapError as exc:
-        _error("dense-cap", str(exc))
-        return 3
-    except greens.PoleProximityError as exc:
-        _error("pole-proximity", str(exc))
-        return 3
-    except spectral.EigenvalueGroupingError as exc:
-        _error("eigenvalue-grouping", str(exc))
-        return 3
-    except ValueError as exc:
-        # a ConfigError, or an out-of-range site/rank as a library ValueError
-        _error("config", str(exc))
-        return 2
-    except RuntimeError as exc:
-        _error("runtime", str(exc))
-        return 3
-    writer.summary(summary)
-    writer.manifest(args.subcommand, config)
+        writer.summary(summary)
+        writer.manifest(args.subcommand, config)
+    except Exception as exc:
+        for types, kind, code in _EXITS:
+            if isinstance(exc, types):
+                sys.stderr.write(json.dumps({"error": kind, "detail": str(exc)}) + "\n")
+                return code
+        raise
     return 0
 
 

@@ -39,7 +39,15 @@ class PowerSequence:
             )
 
     def __call__(self, r: int) -> float:
-        return float(r) ** self.exponent
+        """u_r, inf where it passes the float range."""
+        try:
+            return float(r) ** self.exponent
+        except OverflowError:
+            return math.inf
+
+    def log(self, r: int) -> float:
+        """log u_r = exponent log r, -inf at r = 0."""
+        return self.exponent * math.log(r) if r > 0 else -math.inf
 
     def describe(self) -> str:
         return f"r^{self.exponent:g}"
@@ -332,17 +340,17 @@ def _exp(log_term: float) -> float:
         return math.inf
 
 
-def _term(seq, r, n, exact, *factors, a=1.0, b=1.0) -> float:
-    """The series term p_r^a N^b f_1 f_2 ..., n the caller's running float N.
-    While p_r > 0 and n is finite it is the float product in that order; else
-    it is formed in logs, from log p_r and the exact N: 0 for a weight that is
-    exactly 0, inf past the float range."""
-    p = seq.p(r)
-    if p > 0.0 and not math.isinf(n):
+def _term(seq, r, n, exact, u=None, ranks=(), a=1.0, b=1.0) -> float:
+    """The term p_r^a N^b u_k ... (k in ranks), n the caller's running float N.
+    While p_r > 0 and n and each u_k are finite it is the float product in that
+    order; else it is formed in logs, from log p_r, the exact N and log u_k
+    (u.log(k) where u_k is inf): 0 for a weight of 0, inf past the float range."""
+    p, factors = seq.p(r), [u(k) for k in ranks]
+    if p > 0.0 and not math.isinf(n) and math.inf not in factors:
         return math.prod((p**a * n**b, *factors))
     log_term = a * seq.log_p(r) + b * math.log(exact)  # -inf for a weight of 0
-    for f in factors:
-        log_term += math.log(f)
+    for k, f in zip(ranks, factors):
+        log_term += math.log(f) if f < math.inf else u.log(k)
     return _exp(log_term)
 
 
@@ -353,7 +361,7 @@ def main_hypothesis_terms(
     terms = []
     n_prev, exact = 1.0, 1
     for r in range(1, r_max + 1):
-        terms.append(_term(seq, r, n_prev, exact, u(r - 1), u(r)))
+        terms.append(_term(seq, r, n_prev, exact, u, (r - 1, r)))
         n_prev *= t.factor(r)
         exact *= t.factor(r)
     return terms
@@ -382,7 +390,7 @@ def check_molchanov_condition(
     """Evaluate sum_r p_r u_r, the Cauchy-disorder summability condition."""
     if r_max < 2:
         raise ValueError(f"r_max must be >= 2, got {r_max}")
-    terms = [_term(seq, r, 1.0, 1, u(r), b=0.0) for r in range(1, r_max + 1)]
+    terms = [_term(seq, r, 1.0, 1, u, (r,), b=0.0) for r in range(1, r_max + 1)]
     a, q = seq.decay or (1.0, 0.0)
     ratio = 1.0 / a if seq.decay else math.nan
     return _series("molchanov", u, terms, seq, ratio, u.exponent + q)

@@ -117,12 +117,14 @@ def borel_cantelli_profile(
     u_vals = np.array([u(r) for r in rs])
     with np.errstate(over="ignore"):
         thresholds = (u_vals * sizes) ** 2
-    coverage = 1.0 / u_vals
+    # 1/u_r, as exp(-log u_r) where u_r passes the float range (maybe subnormal)
+    past = np.isinf(u_vals)
+    coverage = np.where(past, [math.exp(-u.log(r)) for r in rs], 1.0 / u_vals)
     hypothesis = np.array(main_hypothesis_terms(seq, t, u, r_max))
     return SummabilityLedger(
         r_values=rs,
         thresholds=thresholds,
-        bound_terms=4.0 / u_vals,
+        bound_terms=np.where(past, 4.0 * coverage, 4.0 / u_vals),
         coverage_terms=coverage,
         coverage_sums=np.cumsum(coverage),
         hypothesis_terms=hypothesis,

@@ -99,16 +99,14 @@ def _child_sums(a, n, out):
 
 def _level0_ok(values, z, work):
     """The level-0 pole guard: min over the sites of |values - z| >= POLE_TOL,
-    per point of z.  Float subtraction is monotone, so at a real z the least
-    |fl(V - z)| is at one of z's two neighbours in the sorted potential, which
-    is kept in work for a sweep's later chunks: O((N + len(z)) log N) in all.
-    At a complex z the minimum is taken directly."""
-    if np.iscomplexobj(z):
-        return np.abs(values - z[:, None]).min(axis=1) >= POLE_TOL
+    per point of z.  Float subtraction is monotone, and |fl(V - z)| =
+    hypot(fl(V - Re z), Im z) grows with |fl(V - Re z)|, so the least is at one
+    of Re z's two neighbours in the sorted potential, which is kept in work for
+    a sweep's later chunks: O((N + len(z)) log N) in all."""
     if "sorted" not in work:
         work["sorted"] = np.sort(values)
     v = work["sorted"]
-    i = np.searchsorted(v, z)
+    i = np.searchsorted(v, z.real)
     below = np.abs(v[np.maximum(i - 1, 0)] - z)
     above = np.abs(v[np.minimum(i, v.size - 1)] - z)
     return np.minimum(below, above) >= POLE_TOL

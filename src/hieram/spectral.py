@@ -19,6 +19,8 @@ from . import operators
 from .coupling import CouplingSequence, GeometricCoupling, _exp
 from .hierarchy import HierarchySpec, Truncation
 
+# a return series whose partial sum passes this is classified recurrent
+DIVERGENCE_THRESHOLD = 1e3
 
 class EigenvalueGroupingError(ArithmeticError):
     """Dense eigenvalues do not group into the exact atoms' multiplicities."""
@@ -194,7 +196,6 @@ def walk_classification(
     geometry: HierarchySpec | Truncation,
     seq: CouplingSequence,
     r_max: int,
-    divergence_threshold: float = 1e3,
 ) -> WalkReport:
     """Sum the return series (1/N_r - 1/N_{r+1}) / (1 - lambda_r).
 
@@ -221,7 +222,7 @@ def walk_classification(
 
     # past a vanishing tail the terms are inf, and inf / inf would warn
     ratio = terms[-1] / terms[-2] if 0 < terms[-2] < math.inf else math.inf
-    if not math.isfinite(sums[-1]) or sums[-1] > divergence_threshold or ratio >= 1.0 - 1e-12:
+    if not math.isfinite(sums[-1]) or sums[-1] > DIVERGENCE_THRESHOLD or ratio >= 1.0 - 1e-12:
         classification, value = "recurrent", None
     elif ratio < 1.0 and terms[-1] * ratio / (1.0 - ratio) < 1e-9 * max(sums[-1], 1.0):
         classification = "transient"

@@ -147,6 +147,42 @@ def test_threads_flag_below_one_rejected(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("u_exponent", [300.0, 600.0])
+def test_bound_refuses_a_default_threshold_past_the_float_range(tmp_path, capsys, u_exponent):
+    # (u_4 N_4)^2: at 300 u_4 is finite and its square is not, at 600 u_4 is inf
+    extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "u_exponent": u_exponent}
+    config = write_config(tmp_path, base_config(rank=4, **extra))
+    out = tmp_path / "o"
+    assert main(["bound", "--config", config, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "threshold" in err["detail"]
+    assert not out.exists()
+
+
+def test_config_threads_key_does_not_change_bytes(tmp_path):
+    outputs = []
+    for threads in (1, 2):
+        config = write_config(tmp_path, base_config(threads=threads), name=f"c{threads}.json")
+        out = tmp_path / f"t{threads}"
+        assert main(["walk", "--config", config, "--out", str(out)]) == 0
+        outputs.append(read_bytes(out, ["walk.csv", "summary.json", "manifest.json"]))
+    assert outputs[0] == outputs[1]
+
+
+def test_hypothesis_with_u_past_the_float_range(tmp_path):
+    # u_r = r^200 passes the float range from r = 35: the molchanov terms
+    # p_r u_r are formed in logs there, and stay finite
+    config = write_config(tmp_path, base_config(u_exponent=200.0, r_max=40))
+    out = tmp_path / "o"
+    assert main(["hypothesis", "--config", config, "--out", str(out)]) == 0
+    with open(out / "hypothesis.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["condition"] == "molchanov"]
+    terms = {int(row["r"]): float(row["term"]) for row in rows}
+    for r in (35, 40):
+        expected = math.exp(math.log(3.0) - r * math.log(4.0) + 200.0 * math.log(r))
+        assert terms[r] == pytest.approx(expected, rel=1e-12)
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     cfg = base_config()
     del cfg["seed"]

@@ -217,6 +217,15 @@ def test_power_sequence_contract():
         PowerSequence(1.0)
 
 
+def test_power_sequence_past_the_float_range():
+    # 35^200 passes the float range; its logarithm does not
+    u = PowerSequence(200.0)
+    assert u(34) == 34.0**200
+    assert u(35) == math.inf
+    assert u.log(35) == 200.0 * math.log(35)
+    assert u.log(0) == -math.inf
+
+
 def test_main_hypothesis_geometric_converges():
     t = build_truncation(HierarchySpec.homogeneous(2, 3))
     rep = check_main_hypothesis(GeometricCoupling(4.0), t, PowerSequence(2.0), 30)

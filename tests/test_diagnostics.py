@@ -13,6 +13,7 @@ from hieram import (
     GeometricCoupling,
     HierarchySpec,
     PowerSequence,
+    Truncation,
     Uniform,
     borel_cantelli_profile,
     build_truncation,
@@ -150,6 +151,17 @@ def test_summability_ledger_has_no_inf_term_past_the_float_range():
     assert np.isfinite(ledger.hypothesis_terms).all()
     exact = math.fsum((40 / 41) ** r * u(r - 1) * u(r) for r in range(1, 201))
     assert ledger.hypothesis_sums[-1] == pytest.approx(exact, rel=1e-12)
+
+
+def test_summability_ledger_past_the_float_range_of_u():
+    # u_r = r^200 passes the float range from r = 35; the ledger reads its
+    # thresholds as inf and 1/u_r from exp(-200 log r), subnormal at r = 35
+    t = Truncation(HierarchySpec.homogeneous(2, 4))
+    ledger = borel_cantelli_profile(GeometricCoupling(4.0), t, PowerSequence(200.0), 40)
+    assert ledger.coverage_terms[34] == 1.535999696719784e-309
+    assert ledger.bound_terms[34] == 4.0 * ledger.coverage_terms[34]
+    assert np.isinf(ledger.thresholds[34:]).all()
+    assert ledger.coverage_terms[33] == 1.0 / 34.0**200
 
 
 def test_ipr_profile_free_laplacian():

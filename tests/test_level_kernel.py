@@ -116,10 +116,14 @@ def _direct_guard(values, energies):
 
 @given(
     pool=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+    im=st.one_of(
+        st.none(), st.sampled_from([0.0, 1e-16, -POLE_TOL, 1.0]), st.floats(-1e-8, 1e-8)
+    ),
     data=st.data(),
 )
-def test_level0_guard_is_the_direct_minimum(pool, data):
-    # repeated values (Bernoulli-like ties) and a lone site (N_r = 1) included
+def test_level0_guard_is_the_direct_minimum(pool, im, data):
+    # repeated values (Bernoulli-like ties) and a lone site (N_r = 1) included;
+    # with im, the points are complex, Re z as drawn and Im z = im
     values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
     v = data.draw(st.sampled_from(values.tolist()))
     steps = np.array([v, v - POLE_TOL, v + POLE_TOL])
@@ -128,6 +132,8 @@ def test_level0_guard_is_the_direct_minimum(pool, data):
     energies = np.concatenate(
         [steps, np.nextafter(steps, np.inf), np.nextafter(steps, -np.inf), outside, free]
     )
+    if im is not None:
+        energies = energies + 1j * im
     work = {}
     assert np.array_equal(_level0_ok(values, energies, work), _direct_guard(values, energies))
     # a later chunk of the same call reads the sort kept in work
