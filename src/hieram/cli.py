@@ -177,8 +177,7 @@ def _violations(value, schema: dict, path: tuple = ()):
                 yield path, f"{value!r} {text}"
         elif key == "maxItems":
             if is_array and len(value) > rule:
-                text = "is expected to be empty" if rule == 0 else "is too long"
-                yield path, f"{value!r} {text}"
+                yield path, f"{value!r} is too long"
         elif key == "items":
             for index, item in enumerate(value if is_array else ()):
                 yield from _violations(item, rule, (*path, index))

@@ -170,10 +170,10 @@ def build_truncation(spec: HierarchySpec) -> Truncation:
 
 def distance_matrix(t: Truncation) -> np.ndarray:
     """Pairwise hierarchical distances d(x, y), the smallest rank s whose
-    block holds both x and y: a fill with the depth, then each level from the
-    top down writes s into its diagonal rank-s blocks (a block-diagonal view)."""
+    block holds both x and y: a uint8 fill with the depth (at most 62), then
+    each level, top down, writes s into its diagonal rank-s blocks (a view)."""
     n = t.site_count
-    d = np.full((n, n), t.depth, dtype=np.uint8 if t.depth < 256 else np.int64)
+    d = np.full((n, n), t.depth, dtype=np.uint8)
     for s in range(t.depth - 1, -1, -1):
         k, b = n // t.sizes[s], t.sizes[s]
         np.einsum("ijik->ijk", d.reshape(k, b, k, b))[...] = s

@@ -114,35 +114,20 @@ def averaging(t: Truncation, r: int) -> HierarchicalOperator:
     return HierarchicalOperator(t, np.eye(r + 1)[r])
 
 
-def laplacian(
-    t: Truncation, seq: CouplingSequence, r: int, include_tail: bool = False
-) -> HierarchicalOperator:
-    """The rank-r cut-off Laplacian sum_{1<=s<=r} p_s E_s.
-
-    ``include_tail`` adds the compression's uniform kernel, making it the
-    exact compression of the full Laplacian; only meaningful at the depth.
-    """
+def laplacian(t: Truncation, seq: CouplingSequence, r: int) -> HierarchicalOperator:
+    """The rank-r cut-off Laplacian sum_{1<=s<=r} p_s E_s."""
     t.check_rank(r)
-    if include_tail and r != t.depth:
-        raise ValueError("the tail kernel only applies at the truncation depth")
-    weights = [0.0] + [seq.p(s) for s in range(1, r + 1)]
-    tail = seq.weighted_tail(t.depth, t) if include_tail else 0.0
-    return HierarchicalOperator(t, weights, tail)
+    return HierarchicalOperator(t, [0.0] + [seq.p(s) for s in range(1, r + 1)])
 
 
 def hamiltonian(
-    t: Truncation,
-    seq: CouplingSequence,
-    omega,
-    r: int,
-    include_tail: bool = False,
+    t: Truncation, seq: CouplingSequence, omega, r: int
 ) -> HierarchicalOperator:
     """The rank-r Anderson Hamiltonian: potential plus cut-off Laplacian.
 
     ``omega`` is an array of site values or a PotentialSample.
     """
-    lap = laplacian(t, seq, r, include_tail)
-    return HierarchicalOperator(t, lap.weights, lap.tail, omega)
+    return HierarchicalOperator(t, laplacian(t, seq, r).weights, potential=omega)
 
 
 def cluster_cut(t: Truncation, omega, r: int, x: int):

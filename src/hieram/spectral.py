@@ -19,8 +19,6 @@ from . import operators
 from .coupling import CouplingSequence, GeometricCoupling, _exp
 from .hierarchy import HierarchySpec, Truncation
 
-# a return series whose partial sum passes this is classified recurrent
-DIVERGENCE_THRESHOLD = 1e3
 
 class EigenvalueGroupingError(ArithmeticError):
     """Dense eigenvalues do not group into the exact atoms' multiplicities."""
@@ -199,20 +197,23 @@ def walk_classification(
 ) -> WalkReport:
     """Sum the return series (1/N_r - 1/N_{r+1}) / (1 - lambda_r).
 
-    Terms are computed in log space so the partial sums stay finite-precision
-    accurate at depths where N_r overflows; past the float range they are inf.
-    A finite sum means the generated random walk is transient; divergence
-    means recurrent.
+    Each term is exp of its logarithm L_r: finite-precision accurate where N_r
+    overflows, inf past the float range.  One ratio test on the last two L_r
+    decides, with the rounding they carry as slack: recurrent unless the sum
+    is finite and the step falls below -slack; then transient, with the
+    geometric completion added, if that completion is below 1e-9 max(sum, 1),
+    else inconclusive.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    terms = np.empty(r_max + 1)
+    log_terms = []  # Python floats: inf - inf below is nan, without a warning
     log_n = 0.0
     for r in range(r_max + 1):
         f_next = geometry.factor(r + 1)
-        # a vanishing tail (log_tail -inf) gives exp(inf) = inf
-        terms[r] = _exp(math.log1p(-1.0 / f_next) - log_n - seq.log_tail(r))
+        # a vanishing tail (log_tail -inf) gives L_r = inf
+        log_terms.append(math.log1p(-1.0 / f_next) - log_n - seq.log_tail(r))
         log_n += math.log(f_next)
+    terms = np.array([_exp(v) for v in log_terms])
     with np.errstate(over="ignore"):
         sums = np.cumsum(terms)
 
@@ -220,13 +221,13 @@ def walk_classification(
     if geometry.degree is not None and isinstance(seq, GeometricCoupling):
         analytic = "transient" if seq.rho < geometry.degree else "recurrent"
 
-    # past a vanishing tail the terms are inf, and inf / inf would warn
-    ratio = terms[-1] / terms[-2] if 0 < terms[-2] < math.inf else math.inf
-    if not math.isfinite(sums[-1]) or sums[-1] > DIVERGENCE_THRESHOLD or ratio >= 1.0 - 1e-12:
-        classification, value = "recurrent", None
-    elif ratio < 1.0 and terms[-1] * ratio / (1.0 - ratio) < 1e-9 * max(sums[-1], 1.0):
-        classification = "transient"
-        value = float(sums[-1] + terms[-1] * ratio / (1.0 - ratio))
-    else:
-        classification, value = "inconclusive", None
+    step = log_terms[-1] - log_terms[-2]  # nan past a vanishing tail: recurrent
+    slack = 8 * np.finfo(float).eps * max(1.0, log_n, -seq.log_tail(r_max))
+    classification, value = "recurrent", None
+    if math.isfinite(sums[-1]) and step < -slack:
+        ratio = math.exp(step)
+        completion = terms[-1] * ratio / (1.0 - ratio)
+        classification = "inconclusive"
+        if completion < 1e-9 * max(sums[-1], 1.0):
+            classification, value = "transient", float(sums[-1] + completion)
     return WalkReport(terms, sums, classification, value, analytic)

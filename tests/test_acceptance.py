@@ -101,7 +101,7 @@ def test_criterion_2_compression_spectrum():
         if abs(shift - t.site_count * seq.weighted_tail(t.depth, t)) >= 1e-15:
             failures.append((degree, rho, "shift"))
         gap = (
-            laplacian(t, seq, t.depth, include_tail=True).dense()
+            compression_dense_block(t, seq, t.depth)
             - laplacian(t, seq, t.depth).dense()
         )
         norm = np.abs(dense_symmetric_eigensolve(gap).eigenvalues).max()

@@ -290,6 +290,18 @@ def test_walk_transient_output_value(tmp_path):
     assert abs(summary["value"] - 1.5) < 1e-9
 
 
+def test_walk_transient_once_the_terms_underflow(tmp_path):
+    cfg = base_config(r_max=1100)
+    cfg["hierarchy"] = {"degree": 4, "depth": 2}
+    cfg["coupling"] = {"family": "geometric", "rho": 2.0}
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["walk", "--config", config, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["classification"] == "transient"
+    assert summary["analytic_classification"] == "transient"
+
+
 def test_pole_only_grid_exits_3(tmp_path, capsys):
     # a two-point potential with a == b pins every site at 0.5, so a grid
     # hugging that value is entirely pole-proximate

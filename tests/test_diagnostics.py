@@ -213,7 +213,7 @@ def test_ipr_profile_squares_twice(index):
     dense = hamiltonian(t, seq, omega, t.depth).dense()
     vectors = dense_symmetric_eigensolve(dense).eigenvectors
     assert np.allclose(iprs, np.sum(vectors**4, axis=0), rtol=1e-15, atol=0.0)
-    oracle = np.linalg.eigh(dense).eigenvectors
+    oracle = np.linalg.eigh(dense)[1]
     assert np.allclose(iprs, np.sum(oracle**4, axis=0), rtol=0.0, atol=1e-8)
 
 

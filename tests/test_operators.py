@@ -23,6 +23,13 @@ def _t(degree=2, depth=3):
     return build_truncation(HierarchySpec.homogeneous(degree, depth))
 
 
+def _compression(t, seq):
+    """The full Laplacian compressed to t, matrix-free: cut-off plus tail kernel."""
+    return HierarchicalOperator(
+        t, laplacian(t, seq, t.depth).weights, seq.weighted_tail(t.depth, t)
+    )
+
+
 def test_averaging_on_delta():
     t = _t()
     delta0 = np.zeros(8)
@@ -83,7 +90,7 @@ def test_dense_matches_apply_on_basis_vectors():
     ops = [
         averaging(t, 2),
         laplacian(t, seq, 3),
-        laplacian(t, seq, t.depth, include_tail=True),
+        _compression(t, seq),
         hamiltonian(t, seq, np.linspace(-1, 1, 12), 2),
     ]
     basis = np.eye(t.site_count)
@@ -112,7 +119,7 @@ def test_apply_matches_dense_on_random_vectors(spec, seqf):
     for op in [
         averaging(t, min(2, t.depth)),
         laplacian(t, seq, t.depth),
-        laplacian(t, seq, t.depth, include_tail=True),
+        _compression(t, seq),
         hamiltonian(t, seq, rng.standard_normal(t.site_count), t.depth),
     ]:
         dense = op.dense()
@@ -161,9 +168,7 @@ def test_compression_within_tail_of_cutoff(degree, rho):
     # operator-norm gap between compression and cut-off is at most the tail
     t = build_truncation(HierarchySpec.homogeneous(degree, 4))
     seq = GeometricCoupling(rho)
-    gap = laplacian(t, seq, t.depth, include_tail=True).dense() - laplacian(
-        t, seq, t.depth
-    ).dense()
+    gap = compression_dense_block(t, seq, t.depth) - laplacian(t, seq, t.depth).dense()
     norm = np.abs(dense_symmetric_eigensolve(gap).eigenvalues).max()
     assert norm <= seq.tail(t.depth) + 1e-15
 
@@ -235,14 +240,12 @@ def test_operator_argument_validation():
         laplacian(t, seq, 3).apply(np.zeros(7))
     with pytest.raises(ValueError):
         hamiltonian(t, seq, np.zeros(4), 2)
-    with pytest.raises(ValueError):
-        hamiltonian(t, seq, np.zeros(8), 2, include_tail=True)
 
 
 def test_compression_block_matches_full_matrix_corner():
     t = _t(2, 3)
     seq = GeometricCoupling(4.0)
-    full = laplacian(t, seq, t.depth, include_tail=True).dense()
+    full = _compression(t, seq).dense()
     assert np.allclose(compression_dense_block(t, seq, 3), full, atol=0)
     sub = compression_dense_block(t, seq, 2)
     # the rank-2 block carries its own, larger tail weight

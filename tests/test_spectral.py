@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hieram import (
     EigenvalueGroupingError,
@@ -247,6 +250,64 @@ def test_walk_recurrent_boundary_dimension():
     assert report.classification == "recurrent"
     assert report.analytic_classification == "recurrent"
     assert np.allclose(report.terms, 0.5, rtol=1e-12)
+
+
+def test_walk_transient_past_underflowing_terms():
+    # the terms (3/4) 2^{-r} underflow to 0 from r of about 1075; the sum is 3/2
+    report = walk_classification(
+        HierarchySpec.homogeneous(4, 2), GeometricCoupling(2.0), 1100
+    )
+    assert report.terms[-1] == 0.0
+    assert report.classification == "transient"
+    assert report.value == pytest.approx(1.5, abs=1e-12)
+
+
+def test_walk_slow_convergence_is_not_recurrent():
+    # rho just below the degree: ratio 1 - 2.5e-4 per level, sum about 2000
+    spec, seq = HierarchySpec.homogeneous(2, 2), GeometricCoupling(1.9995)
+    assert walk_classification(spec, seq, 40000).classification != "recurrent"
+    report = walk_classification(spec, seq, 100000)
+    assert report.classification == "transient"
+    # to the 1e-9 relative precision the completion rule asks for
+    assert report.value == pytest.approx(2000.0, rel=1e-9)
+    assert report.analytic_classification == "transient"
+
+
+def test_walk_polygeometric_sum_above_a_thousand():
+    report = walk_classification(
+        HierarchySpec.homogeneous(10, 2), PolyGeometricCoupling(9, 0.3), 1100
+    )
+    assert report.classification == "transient"
+    assert report.value == 128448.16718260062
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_walk_boundary_stays_recurrent_at_depth(degree):
+    # rho = n: every term is 1 - 1/n; the last-two-term ratio carries the
+    # rounding of log N_r, which the slack must absorb
+    report = walk_classification(
+        HierarchySpec.homogeneous(degree, 2), GeometricCoupling(float(degree)), 200000
+    )
+    assert report.classification == "recurrent"
+
+
+@settings(max_examples=40)
+@given(
+    degree=st.integers(2, 10),
+    log_ratio=st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6),
+    r_max=st.integers(1, 3000),
+)
+def test_walk_verdict_never_contradicts_the_analytic_one(degree, log_ratio, r_max):
+    seq = GeometricCoupling(degree * math.exp(log_ratio))
+    report = walk_classification(HierarchySpec.homogeneous(degree, 2), seq, r_max)
+    opposite = {"transient": "recurrent", "recurrent": "transient"}
+    assert report.classification != opposite[report.analytic_classification]
+    explicit = walk_classification(
+        HierarchySpec.homogeneous(degree, 2),
+        ExplicitCoupling([0.5, 0.25], 0.25),
+        max(r_max, 4),
+    )
+    assert explicit.classification != "recurrent"
 
 
 def test_walk_argument_validation():
