@@ -493,10 +493,8 @@ def run_dimension(ctx, writer: OutputWriter) -> dict:
         raise ConfigError(f"fit_window must be increasing, got [{r_lo}, {r_hi}]")
     analytic = spectral.spectral_dimension(seq, t.degree)
     measure = spectral.limiting_spectral_measure(t, seq, r_hi + 5)
-    # nudge the window so the boundary atoms stay inside despite rounding
-    fitted = spectral.fit_spectral_dimension(
-        measure, seq.tail(r_hi) * (1 - 1e-12), seq.tail(r_lo) * (1 + 1e-12)
-    )
+    # the measure's tails are seq.tail itself, so both window ends are atoms
+    fitted = spectral.fit_spectral_dimension(measure, seq.tail(r_hi), seq.tail(r_lo))
     header = ["quantity", "value"]
     rows = columns(header, ["analytic", "fitted"], [analytic, fitted])
     writer.table("dimension", header, rows)

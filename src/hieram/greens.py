@@ -38,8 +38,14 @@ from .hierarchy import Truncation
 from .operators import cluster_cut, potential_values
 
 POLE_TOL = 1e-12
+# largest residual ||(H_r - e) psi|| / ||psi|| at which eigenvector_iprs trusts
+# a kernel vector psi at an eigenvalue e; tied spectra exceed it by far
+# (0.85 and more under Bernoulli disorder at N = 1024), continuous disorder
+# stays below 7e-9 there
+EIGEN_RESIDUAL_TOL = 1e-8
 # energies x sites per sweep chunk; the chunk's workspace (_levels) holds
-# 4 / n_1 + 1 / (n_1 n_2) times as many doubles, 2.25 at degree 2
+# 4 / n_1 + 1 / (n_1 n_2) times as many doubles, 2.25 at degree 2 (W4 adds
+# 1 / n_1 + 1 / (n_1 n_2), 0.75 at degree 2)
 SWEEP_CELLS = 2**17
 
 
@@ -112,39 +118,43 @@ def _level0_ok(values, z, work):
     return np.minimum(below, above) >= POLE_TOL
 
 
-def _levels(t, seq, values, z, r, work, ok, squares=False):
+def _levels(t, seq, values, z, r, work, ok, squares=False, fourths=False):
     """The alpha/beta recursion over a 1-D array z of evaluation points.
 
-    Yields (denom, alpha, w) for s = 1..r, arrays of shape (len(z), rank-s
+    Yields (denom, alpha, w, w4) for s = 1..r, arrays of shape (len(z), rank-s
     clusters): denom = 1 + p_s beta with beta the children's mean alpha, and
     alpha = beta / denom.  Level 0, alpha_0 = 1 / (values - z), is folded into
     level 1: it is formed one child slot at a time, in a scratch of the level-1
     shape, and summed into the level-1 sums, so no array spans the sites.  With
     squares, w = W_s, the squared norms of the level vectors over the rank-s
-    clusters (see _sweep); else None.  ok is the level-0 mask (_level0_ok),
+    clusters (see _sweep); else None.  With fourths too, w4 = W4_s, their sums
+    of fourth powers, W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from
+    W4_0 = v_0^4 (see _ipr_sweep); else None.  ok is the level-0 mask (_level0_ok),
     cut in place from the first level with |denom| below POLE_TOL, past which
     alpha is not meaningful.  The dtype follows z.
 
-    Two levels are live at a time: alpha and w alternate between two buffers
-    of the workspace dict work (by s mod 2), and every level shares one denom
-    buffer.  The other alpha buffer, dead once its children are summed, is
-    the level's scratch (alpha_0 of a child slot, |denom|, F_s, then F_s^2).
-    So a yielded denom and alpha hold until the next level is formed, and w
-    until the one after it.
+    Two levels are live at a time: alpha, w and w4 alternate between two
+    buffers of the workspace dict work (by s mod 2), and every level shares one
+    denom buffer.  The other alpha buffer, dead once its children are summed,
+    is the level's scratch (alpha_0 of a child slot, |denom|, F_s, F_s^2, then
+    F_s^4).  So a yielded denom and alpha hold until the next level is formed,
+    and w and w4 until the one after it.
     """
     dtype = np.result_type(values, z)
-    alpha = w = None
+    alpha = w = w4 = None
     for s in range(1, r + 1):
         n_s = t.factor(s)
         shape = (z.size, t.site_count // t.sizes[s])
-        children, children_w = alpha, w
+        children, children_w, children_w4 = alpha, w, w4
         alpha = _buffer(work, ("alpha", s % 2), shape, dtype)  # sums, beta, then alpha
         scratch = _buffer(work, ("alpha", 1 - s % 2), shape, dtype)
         denom = _buffer(work, "denom", shape, dtype)
         if squares:
             w = _buffer(work, ("W", s % 2), shape)
+        if fourths:
+            w4 = _buffer(work, ("W4", s % 2), shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if s == 1:  # alpha_0 and W_0 = alpha_0^2 of child slot j, in child order
+            if s == 1:  # alpha_0, W_0 = alpha_0^2 and W4_0 = W_0^2 of child slot j
                 for j in range(n_s):
                     a_0 = scratch if j else alpha
                     np.divide(1.0, np.subtract(values[j::n_s], z[:, None], out=a_0), out=a_0)
@@ -154,10 +164,16 @@ def _levels(t, seq, values, z, r, work, ok, squares=False):
                         np.add(w, np.square(a_0, out=a_0), out=w)
                     elif squares:
                         np.square(a_0, out=w)
+                    if fourths and j:
+                        np.add(w4, np.square(a_0, out=a_0), out=w4)
+                    elif fourths:
+                        np.square(w, out=w4)
             else:  # children is read here before scratch overwrites it
                 _child_sums(children, n_s, alpha)
                 if squares:
                     _child_sums(children_w, n_s, w)
+                if fourths:
+                    _child_sums(children_w4, n_s, w4)
             beta = np.divide(alpha, n_s, out=alpha)
             np.add(1.0, np.multiply(seq.p(s), beta, out=denom), out=denom)
             ok &= np.abs(denom, out=scratch.real).min(axis=1) >= POLE_TOL
@@ -166,7 +182,9 @@ def _levels(t, seq, values, z, r, work, ok, squares=False):
                 f = np.multiply(math.sqrt(n_s), denom, out=scratch)
                 f = np.divide(1.0, f, out=f)  # F_s = 1 / (sqrt(n_s) d_s)
                 np.multiply(w, np.square(f, out=f), out=w)
-        yield denom, alpha, w
+            if fourths:  # W4_s = F_s^4 times the children's W4_{s-1}
+                np.multiply(w4, np.square(f, out=f), out=w4)
+        yield denom, alpha, w, w4
 
 
 def build_cascade(
@@ -192,7 +210,7 @@ def build_cascade(
         raise PoleProximityError(0, z)
     v_0 = 1.0 / (values - point[0])
     levels, alphas = [v_0], [v_0]
-    for s, (denom, alpha, _) in enumerate(_levels(t, seq, values, point, r, work, ok), 1):
+    for s, (denom, alpha, _, _) in enumerate(_levels(t, seq, values, point, r, work, ok), 1):
         if not ok[0]:
             raise PoleProximityError(s, z)
         alphas.append(alpha[0].copy())
@@ -296,7 +314,7 @@ def _sweep(t, seq, values, energies, x, r, work):
         v_x = 1.0 / (values[x] - energies)  # v_s(x), the level vector at x
         g_xx = v_x.copy()  # G_s(x, x)
         moments[0] = g_xx**2
-        for s, (denom, _, w_s) in enumerate(levels, start=1):
+        for s, (denom, _, w_s, _) in enumerate(levels, start=1):
             n_s = t.factor(s)
             parent = x // sizes[s]
             child = x // sizes[s - 1] % n_s
@@ -327,13 +345,49 @@ def _norm_sweep(t, seq, values, energies, x, r, work):
     ok = _level0_ok(values, energies, work)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = np.square(1.0 / (values[x] - energies))[:, None]  # W_0(x), the answer at r = 0
-    for _, _, w in _levels(t, seq, values, energies, r, work, ok, squares=True):
+    for _, _, w, _ in _levels(t, seq, values, energies, r, work, ok, squares=True):
         pass
     return t.sizes[r] * w[:, 0], ok
 
 
+def _ipr_sweep(t, seq, values, energies, x, r, work):
+    """IPRs and residuals of the vectors psi = (H_{r-1} - e)^{-1} phi_Q on the
+    rank-r cluster Q over real energies e, with pole mask; r >= 1.
+
+    Where 1 + p_r beta_r(e) = 0, e is an eigenvalue of H_r on Q and psi an
+    eigenvector.  On each child C of Q, psi is the level vector v_{r-1} over
+    sqrt(n_r), so with W_s and W4_s the sums of v_s^2 and v_s^4 over the rank-s
+    clusters (_levels),
+
+        IPR = sum_y psi(y)^4 / (sum_y psi(y)^2)^2 = sum_C W4_{r-1}(C) / (sum_C W_{r-1}(C))^2.
+
+    (H_r - e) psi = (H_{r-1} - e) psi + p_r phi_Q <phi_Q, psi> = d_r phi_Q exactly,
+    with d_r = 1 + p_r beta_r, so the residual ||(H_r - e) psi|| / ||psi|| is
+    |d_r| / ||psi||, with ||psi||^2 = sum_C W_{r-1}(C) / n_r.  The pole mask
+    covers the levels below r only, where d_r is meant to vanish.  x is unused:
+    the vectors span Q.  Returns (iprs, residuals, norms, ok), norms = ||psi||.
+    """
+    n_r = t.factor(r)
+    ok = _level0_ok(values, energies, work)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if r == 1:  # the children are the sites: alpha_0, W_0 and W4_0 from the potential
+            alpha = 1.0 / (values - energies[:, None])
+            w = np.square(alpha)
+            w4 = np.square(w)
+        else:
+            levels = _levels(t, seq, values, energies, r - 1, work, ok, squares=True, fourths=True)
+            for _, alpha, w, w4 in levels:
+                pass
+        denom = 1.0 + seq.p(r) * (alpha.sum(axis=1) / n_r)
+        norm2 = w.sum(axis=1)
+        iprs = w4.sum(axis=1) / np.square(norm2)
+        norms = np.sqrt(norm2 / n_r)
+        residuals = np.abs(denom) / norms
+    return iprs, residuals, norms, ok
+
+
 def _sweep_grid(sweep, t, seq, omega, energies, r, x):
-    """sweep (_sweep or _norm_sweep) over real energies on the cut of Q_r(x)
+    """sweep (_sweep, _norm_sweep or _ipr_sweep) over real energies on the cut of Q_r(x)
     (operators.cluster_cut), in chunks of SWEEP_CELLS // N_r energies that
     share one workspace; each output is joined along its energy axis."""
     q, values, x_q = cluster_cut(t, omega, r, x)
@@ -378,3 +432,29 @@ def cluster_norm_sweep(
     squared norm is N_r times the squared norm of the rank-r level vector.
     """
     return _sweep_grid(_norm_sweep, t, seq, omega, energies, r, x)
+
+
+def eigenvector_iprs(
+    t: Truncation,
+    seq: CouplingSequence,
+    omega,
+    eigenvalues: np.ndarray,
+    r: int,
+    x: int = 0,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """IPRs and norms ||psi|| of the kernel vectors psi = (H_{r-1} - e)^{-1} phi_Q
+    of H_r on Q_r(x) at its eigenvalues e (_ipr_sweep), with no eigenvector
+    matrix.
+
+    None unless the kernel vouches for every vector: no eigenvalue within the
+    pole guard of a level below r, every IPR finite, and every residual
+    ||(H_r - e) psi|| / ||psi|| at most EIGEN_RESIDUAL_TOL.  Tied spectra
+    (Bernoulli disorder, no disorder) fail this, as a degenerate eigenspace has
+    no vector of the rank-one form.  At rank 0 the vector is a point mass.
+    """
+    if r == 0:
+        return np.ones(len(eigenvalues)), np.ones(len(eigenvalues))
+    iprs, residuals, norms, ok = _sweep_grid(_ipr_sweep, t, seq, omega, eigenvalues, r, x)
+    if ok.all() and np.isfinite(iprs).all() and (residuals <= EIGEN_RESIDUAL_TOL).all():
+        return iprs, norms
+    return None

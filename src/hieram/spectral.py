@@ -26,11 +26,15 @@ class EigenvalueGroupingError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Finite list of spectral atoms with a declared total mass."""
+    """Finite list of spectral atoms with a declared total mass.
+
+    ``tails``, where given, holds 1 - locations formed without cancellation.
+    """
 
     locations: np.ndarray
     weights: np.ndarray
     mass: float
+    tails: np.ndarray | None = None
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -77,23 +81,23 @@ def limiting_spectral_measure(
     """Atoms (lambda_r, 1/N_r - 1/N_{r+1}) for r <= r_max.
 
     The declared mass 1 - 1/N_{r_max+1} accounts for the truncation; the
-    remainder sits above the last retained atom.
+    remainder sits above the last retained atom.  The tails 1 - lambda_r are
+    the coupling's own (seq.tail), not the rounded differences.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    locations = np.empty(r_max + 1)
+    tails = np.array([seq.tail(r) for r in range(r_max + 1)])
     weights = np.empty(r_max + 1)
     n_r, inv_r = 1, 1.0
     for r in range(r_max + 1):
         n_next = n_r * geometry.factor(r + 1)
-        locations[r] = seq.lam(r)
         try:
             inv_next = 1.0 / n_next
         except OverflowError:  # N_{r+1} beyond the float range: int true division
             inv_next = 1 / n_next
         weights[r] = inv_r - inv_next
         n_r, inv_r = n_next, inv_next
-    return SpectralMeasure(locations, weights, 1.0 - inv_r)
+    return SpectralMeasure(1.0 - tails, weights, 1.0 - inv_r, tails)
 
 
 def group_eigenvalues(
@@ -162,12 +166,12 @@ def fit_spectral_dimension(
     """Least-squares edge-scaling fit of the measure near the top of the band.
 
     Samples the cumulative mass of [1-t, 1] exactly at the jump points
-    t = 1 - lambda_r inside [t_min, t_max]; twice the log-log slope estimates
-    the spectral dimension.
+    t = 1 - lambda_r inside [t_min, t_max], taken from measure.tails where
+    given; twice the log-log slope estimates the spectral dimension.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
-    t_vals = 1.0 - measure.locations
+    t_vals = 1.0 - measure.locations if measure.tails is None else measure.tails
     # mass of [location_r, 1] treating the declared remainder as lying above
     suffix = 1.0 - np.concatenate([[0.0], np.cumsum(measure.weights)[:-1]])
     keep = (t_vals >= t_min) & (t_vals <= t_max) & (t_vals > 0) & (suffix > 0)

@@ -205,15 +205,18 @@ def test_ipr_profile_accepts_an_array_potential():
 
 @pytest.mark.parametrize("index", range(3))
 def test_ipr_profile_squares_twice(index):
-    # sum((v^2)^2) rounds differently from sum(v**4) but only in the last digit
+    # the eigh path takes sum((v^2)^2), which rounds differently from
+    # sum(v**4) but only in the last digit; Bernoulli ties take that path
     t = _t(8)
     seq = GeometricCoupling(4.0)
-    omega = sample_potential(Uniform(0.0, 1.0), t, 301, index)
-    iprs = np.array([v for _, v in ipr_profile(t, seq, omega, t.depth)])
-    dense = hamiltonian(t, seq, omega, t.depth).dense()
+    tied = sample_potential(Bernoulli(0.0, 1.0, 0.5), t, 301, index)
+    iprs = np.array([v for _, v in ipr_profile(t, seq, tied, t.depth)])
+    dense = hamiltonian(t, seq, tied, t.depth).dense()
     vectors = dense_symmetric_eigensolve(dense).eigenvectors
     assert np.allclose(iprs, np.sum(vectors**4, axis=0), rtol=1e-15, atol=0.0)
-    oracle = np.linalg.eigh(dense)[1]
+    omega = sample_potential(Uniform(0.0, 1.0), t, 301, index)
+    iprs = np.array([v for _, v in ipr_profile(t, seq, omega, t.depth)])
+    oracle = np.linalg.eigh(hamiltonian(t, seq, omega, t.depth).dense())[1]
     assert np.allclose(iprs, np.sum(oracle**4, axis=0), rtol=0.0, atol=1e-8)
 
 

@@ -207,6 +207,23 @@ def test_fitted_dimension_matches_analytic(degree, rho, d):
     assert abs(fitted - d) / d < 0.05
 
 
+@pytest.mark.parametrize("rho", [1.8, 2.5, 4.1])
+def test_fit_window_keeps_its_top_atom(rho):
+    # 1 - lambda_20 is off seq.tail(20) by 4.5e-12, 1.4e-9 and 6.8e-5
+    # relative at these rho, more than the 1e-12 nudge of the window: the fit
+    # must still take the rank-20 atom
+    spec = HierarchySpec.homogeneous(2, 3)
+    seq = GeometricCoupling(rho)
+    measure = limiting_spectral_measure(spec, seq, 25)
+    fitted = fit_spectral_dimension(
+        measure, seq.tail(20) * (1 - 1e-12), seq.tail(5) * (1 + 1e-12)
+    )
+    ranks = np.arange(5, 21)
+    suffix = 1.0 - np.concatenate([[0.0], np.cumsum(measure.weights)[:-1]])
+    tails = np.array([seq.tail(r) for r in ranks])
+    assert fitted == 2.0 * np.polyfit(np.log(tails), np.log(suffix[ranks]), 1)[0]
+
+
 def test_fit_requires_three_atoms():
     spec = HierarchySpec.homogeneous(2, 3)
     seq = GeometricCoupling(2.0)
