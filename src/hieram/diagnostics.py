@@ -20,12 +20,6 @@ from .disorder import DistributionSpec, PotentialSample, sample_potential
 from .hierarchy import Truncation
 
 MID_SPECTRUM_WINDOW = (0.25, 0.75)  # eigenvalue-index band used for IPR medians
-# largest share of another eigenvector that an eigenvalue's rounding may leave
-# in the vector an IPR is taken from (_mixing)
-MIXING_TOL = 2e-9
-# most eigenvalues per draw whose vectors are repaired by a dense solve each;
-# past that, one eigh costs less
-REPAIR_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -151,84 +145,22 @@ def ipr_profile(
     The IPR of a normalized vector is sum_y psi(y)^4, ranging from 1/N_r
     (uniform spreading) to 1 (a point mass).  The eigenvalues of H_r on the cut
     of Q_r(x) (operators.cluster_cut) come from a values-only dense solve and
-    the IPRs from the level kernel at those eigenvalues (_kernel_iprs), so no
-    eigenvector matrix is formed.  Where the kernel does not vouch for every
-    vector (greens.eigenvector_iprs: a pole-guarded eigenvalue, a non-finite
-    IPR or a residual above greens.EIGEN_RESIDUAL_TOL, as with tied spectra),
-    or too many vectors are mixed to repair, both come from a dense eigh.
+    the IPRs from the level kernel at those eigenvalues
+    (greens.eigenvector_iprs), so no eigenvector matrix is formed.  Where the
+    kernel declines the draw, as with tied spectra, both come from a dense
+    eigh.
     """
     q, values, _ = operators.cluster_cut(t, omega, r, x)
     block = operators.cutoff_dense_block(q, seq, r, cap)
     block[np.diag_indices(q.site_count)] += values
     eigenvalues = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
-    iprs = _kernel_iprs(q, seq, values, block, eigenvalues, r)
+    iprs = greens.eigenvector_iprs(q, seq, values, eigenvalues, r)
     if iprs is None:
         spectrum = operators.dense_symmetric_eigensolve(block)
         eigenvalues = spectrum.eigenvalues
         # two squarings: numpy has no fast path for the exponent 4
         iprs = np.sum(np.square(np.square(spectrum.eigenvectors)), axis=0)
     return list(zip(eigenvalues.tolist(), iprs.tolist()))
-
-
-def _kernel_iprs(q, seq, values, block, eigenvalues, r):
-    """IPRs of H_r on the rank-r lattice q at the ascending eigenvalues of its
-    dense block, or None where the draw needs an eigh.
-
-    A float64 eigenvalue is off by about u = eps max|e|, and that error mixes
-    other eigenvectors into its kernel vector (_mixing).  Each vector mixed by
-    more than MIXING_TOL is repaired by one step of inverse iteration on the
-    block from the kernel vector, which cuts the share of u_j by u / (|e_j -
-    e_i| - u); the draw needs an eigh where more than REPAIR_CAP are mixed or
-    one step cannot bring a share below MIXING_TOL.
-    """
-    kernel = greens.eigenvector_iprs(q, seq, values, eigenvalues, r)
-    if kernel is None:
-        return None
-    iprs, norms = kernel
-    unit = np.finfo(float).eps * np.abs(eigenvalues).max()
-    mixing = _mixing(eigenvalues, norms, unit)
-    mixed = np.flatnonzero(mixing > MIXING_TOL)
-    gaps = np.diff(eigenvalues)
-    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))[mixed]
-    repairable = mixing[mixed] * unit <= MIXING_TOL * (nearest - unit)
-    if mixed.size > REPAIR_CAP or not repairable.all():
-        return None
-    diagonal = block.diagonal().copy()
-    for k in mixed.tolist():
-        start = greens.build_cascade(q, seq, values, eigenvalues[k], r - 1).levels[r - 1]
-        block[np.diag_indices_from(block)] = diagonal - eigenvalues[k]
-        try:
-            v = np.linalg.solve(block, start)
-        except np.linalg.LinAlgError:  # e is an eigenvalue to the last bit
-            return None
-        finally:
-            block[np.diag_indices_from(block)] = diagonal
-        v = np.square(v / np.abs(v).max())  # scaled: |v| grows as 1 / |e - e_i|
-        iprs[k] = np.sum(np.square(v)) / np.sum(v) ** 2
-    return iprs if np.isfinite(iprs).all() else None
-
-
-def _mixing(eigenvalues, norms, unit):
-    """Per eigenvalue e_i, the largest share of another eigenvector u_j that an
-    error of unit in e_i puts into its kernel vector psi_i.
-
-    The kernel vector at e_i + unit is proportional to (H_r - e_i - unit)^{-1}
-    phi_Q, whose u_j component relative to its u_i one is
-    unit <u_j, phi_Q> / (<u_i, phi_Q> (e_j - e_i)) to first order, and
-    <u_k, phi_Q> = -1 / (p_r ||psi_k||) at each eigenvalue; so the share is
-    unit ||psi_i|| / (||psi_j|| |e_j - e_i|).  Near-tied eigenvalues whose
-    vectors hybridize give large shares.  O(N_r^2), in panels of rows.
-    """
-    n = eigenvalues.size
-    rows = max(1, greens.SWEEP_CELLS // n)
-    closest = np.empty(n)  # min over j != i of ||psi_j|| |e_j - e_i|
-    for lo in range(0, n, rows):
-        panel = np.abs(eigenvalues[lo : lo + rows, None] - eigenvalues) * norms
-        k = np.arange(panel.shape[0])
-        panel[k, lo + k] = np.inf
-        closest[lo : lo + rows] = panel.min(axis=1, initial=np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return unit * norms / closest
 
 
 @dataclass(frozen=True)

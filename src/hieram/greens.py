@@ -43,6 +43,12 @@ POLE_TOL = 1e-12
 # (0.85 and more under Bernoulli disorder at N = 1024), continuous disorder
 # stays below 7e-9 there
 EIGEN_RESIDUAL_TOL = 1e-8
+# largest share of another eigenvector that an eigenvalue's rounding may leave
+# in a kernel vector (_mixing) before eigenvector_iprs repairs it
+MIXING_TOL = 1e-10
+# largest fraction of a draw's vectors that eigenvector_iprs repairs one at a
+# time; past it one eigh costs less (N = 1024: 0.6 ms a repair, 0.2 s an eigh)
+REPAIR_SHARE = 0.25
 # energies x sites per sweep chunk; the chunk's workspace (_levels) holds
 # 4 / n_1 + 1 / (n_1 n_2) times as many doubles, 2.25 at degree 2 (W4 adds
 # 1 / n_1 + 1 / (n_1 n_2), 0.75 at degree 2)
@@ -441,20 +447,84 @@ def eigenvector_iprs(
     eigenvalues: np.ndarray,
     r: int,
     x: int = 0,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """IPRs and norms ||psi|| of the kernel vectors psi = (H_{r-1} - e)^{-1} phi_Q
-    of H_r on Q_r(x) at its eigenvalues e (_ipr_sweep), with no eigenvector
-    matrix.
+) -> np.ndarray | None:
+    """IPRs of the eigenvectors of H_r on Q_r(x) at its ascending eigenvalues,
+    from the kernel vectors psi = (H_{r-1} - e)^{-1} phi_Q (_ipr_sweep), with
+    no eigenvector matrix; or None where the draw needs a dense eigh.
 
-    None unless the kernel vouches for every vector: no eigenvalue within the
-    pole guard of a level below r, every IPR finite, and every residual
+    The kernel must vouch for every vector: no eigenvalue within the pole
+    guard of a level below r, every IPR finite, and every residual
     ||(H_r - e) psi|| / ||psi|| at most EIGEN_RESIDUAL_TOL.  Tied spectra
     (Bernoulli disorder, no disorder) fail this, as a degenerate eigenspace has
-    no vector of the rank-one form.  At rank 0 the vector is a point mass.
+    no vector of the rank-one form.  A float64 eigenvalue is off by about
+    u = eps max|e|, which mixes other eigenvectors into its kernel vector
+    (_mixing); each vector mixed by more than MIXING_TOL is repaired by one
+    step of inverse iteration (_inverse_iteration_ipr), which cuts the share
+    of u_j by u / (|e_j - e_i| - u).  The draw is declined where more than
+    REPAIR_SHARE of the vectors are mixed or one step cannot bring a share
+    below MIXING_TOL.  At rank 0 the vector is a point mass.
     """
     if r == 0:
-        return np.ones(len(eigenvalues)), np.ones(len(eigenvalues))
-    iprs, residuals, norms, ok = _sweep_grid(_ipr_sweep, t, seq, omega, eigenvalues, r, x)
-    if ok.all() and np.isfinite(iprs).all() and (residuals <= EIGEN_RESIDUAL_TOL).all():
-        return iprs, norms
-    return None
+        return np.ones(len(eigenvalues))
+    q, values, _ = cluster_cut(t, omega, r, x)
+    iprs, residuals, norms, ok = _sweep_grid(_ipr_sweep, q, seq, values, eigenvalues, r, 0)
+    if not (ok.all() and np.isfinite(iprs).all() and (residuals <= EIGEN_RESIDUAL_TOL).all()):
+        return None
+    unit = np.finfo(float).eps * np.abs(eigenvalues).max()
+    mixing = _mixing(eigenvalues, norms, unit)
+    mixed = np.flatnonzero(mixing > MIXING_TOL)
+    gaps = np.diff(eigenvalues)
+    nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))[mixed]
+    repairable = mixing[mixed] * unit <= MIXING_TOL * (nearest - unit)
+    if mixed.size > REPAIR_SHARE * eigenvalues.size or not repairable.all():
+        return None
+    for k in mixed.tolist():
+        iprs[k] = _inverse_iteration_ipr(q, seq, values, eigenvalues[k], r)
+    return iprs if np.isfinite(iprs).all() else None
+
+
+def _mixing(eigenvalues, norms, unit):
+    """Per eigenvalue e_i, the largest share of another eigenvector u_j that an
+    error of unit in e_i puts into its kernel vector psi_i.
+
+    The kernel vector at e_i + unit is proportional to (H_r - e_i - unit)^{-1}
+    phi_Q, whose u_j component relative to its u_i one is
+    unit <u_j, phi_Q> / (<u_i, phi_Q> (e_j - e_i)) to first order, and
+    <u_k, phi_Q> = -1 / (p_r ||psi_k||) at each eigenvalue; so the share is
+    unit ||psi_i|| / (||psi_j|| |e_j - e_i|).  Near-tied eigenvalues whose
+    vectors hybridize give large shares.  O(N_r^2), in panels of rows.
+    """
+    n = eigenvalues.size
+    rows = max(1, SWEEP_CELLS // n)
+    closest = np.empty(n)  # min over j != i of ||psi_j|| |e_j - e_i|
+    for lo in range(0, n, rows):
+        panel = np.abs(eigenvalues[lo : lo + rows, None] - eigenvalues) * norms
+        k = np.arange(panel.shape[0])
+        panel[k, lo + k] = np.inf
+        closest[lo : lo + rows] = panel.min(axis=1, initial=np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return unit * norms / closest
+
+
+def _inverse_iteration_ipr(t, seq, values, e, r):
+    """IPR of x = (H_r - e)^{-1} psi on the rank-r lattice t: one step of
+    inverse iteration from the kernel vector psi = (H_{r-1} - e)^{-1} phi_Q
+    (_ipr_sweep), r >= 1, in O(N_r r) with no dense matrix.
+
+    Starting from x = (H_0 - e)^{-1} psi, each level applies the
+    Sherman-Morrison update (H_s - e)^{-1} = G - p_s sum_C G phi_C
+    phi_C^T G / d_s(C) with G = (H_{s-1} - e)^{-1}, over the rank-s clusters
+    C, where G phi_C is the cascade's level vector on C over sqrt(n_s).  At an
+    eigenvalue e_i of H_r, d_r(Q) is nearly 0, and the step cuts the share of
+    each other eigenvector u_j in psi by about |e - e_i| / |e - e_j|.
+    """
+    c = build_cascade(t, seq, values, e, r - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = c.levels[r - 1] / (values - e)
+        for s in range(1, r + 1):
+            n_s, size = t.factor(s), t.sizes[s]
+            denom = 1.0 + seq.p(s) * (c.alphas[s - 1].reshape(-1, n_s).sum(axis=1) / n_s)
+            proj = x.reshape(-1, size).sum(axis=1) / math.sqrt(size)  # <phi_C, x>
+            x = x - seq.p(s) / math.sqrt(n_s) * c.levels[s - 1] * np.repeat(proj / denom, size)
+        x = np.square(x / np.abs(x).max())  # scaled: |x| grows as 1 / |e - e_i|
+        return float(np.sum(np.square(x)) / np.sum(x) ** 2)

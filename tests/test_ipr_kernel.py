@@ -25,7 +25,7 @@ from hieram import (
     operators,
     sample_potential,
 )
-from hieram import diagnostics, greens
+from hieram import greens
 from hieram.operators import cluster_cut, cutoff_dense_block, dense_symmetric_eigensolve
 
 
@@ -112,9 +112,10 @@ def test_ranks_zero_and_one():
 
 
 @pytest.mark.parametrize("factors,r", [([2, 2, 2], 3), ([3, 2, 4], 2), ([3, 2, 4], 1), ([5], 1)])
-def test_residual_identity_against_a_direct_solve(factors, r):
-    # off the spectrum the identity residual |d_r| / ||psi|| and the IPR of
-    # psi = (H_{r-1} - e)^{-1} phi_Q must match a dense computation of both
+def test_kernel_quantities_against_dense_solves(factors, r):
+    # off the spectrum the identity residual |d_r| / ||psi||, the IPR of
+    # psi = (H_{r-1} - e)^{-1} phi_Q and that of the inverse-iteration step
+    # (H_r - e)^{-1} psi must match dense computations
     t = build_truncation(HierarchySpec.explicit(factors))
     seq = PolyGeometricCoupling(2, 0.5)
     omega = sample_potential(Gaussian(0.0, 1.0), t, 11, 0)
@@ -134,6 +135,9 @@ def test_residual_identity_against_a_direct_solve(factors, r):
         direct = np.linalg.norm((h - e * np.eye(n_r)) @ psi) / norm
         assert residuals[k] == pytest.approx(direct, rel=1e-8)
         assert iprs[k] == pytest.approx(np.sum(psi**4) / norm**4, rel=1e-10)
+        step = np.linalg.solve(h - e * np.eye(n_r), psi)
+        got = greens._inverse_iteration_ipr(t.cluster_lattice(r), seq, omega.values[:n_r], e, r)
+        assert got == pytest.approx(np.sum(step**4) / np.sum(step**2) ** 2, rel=1e-10)
 
 
 def test_mixed_vectors_are_repaired():
@@ -147,10 +151,11 @@ def test_mixed_vectors_are_repaired():
     omega = sample_potential(Uniform(0.0, 1.0), t, 307, 5)
     values, iprs = _oracle(t, seq, omega, 10)
     eigenvalues = np.linalg.eigvalsh(hamiltonian(t, seq, omega, 10).dense())
-    raw, norms = greens.eigenvector_iprs(t, seq, omega, eigenvalues, 10)
+    raw, _, norms, _ = greens._sweep_grid(greens._ipr_sweep, t, seq, omega, eigenvalues, 10, 0)
     unit = np.finfo(float).eps * np.abs(eigenvalues).max()
-    mixed = diagnostics._mixing(eigenvalues, norms, unit) > diagnostics.MIXING_TOL
-    assert 0 < mixed.sum() <= diagnostics.REPAIR_CAP
+    mixing = greens._mixing(eigenvalues, norms, unit)
+    assert mixing.max() > 1e3 * greens.MIXING_TOL
+    mixed = mixing > greens.MIXING_TOL
     repaired = np.array([v for _, v in ipr_profile(t, seq, omega, 10)])
     assert np.all(repaired[~mixed] == raw[~mixed]) and np.any(repaired[mixed] != raw[mixed])
     assert np.abs(repaired - iprs).max() < 2e-9
