@@ -46,9 +46,6 @@ EIGEN_RESIDUAL_TOL = 1e-8
 # largest share of another eigenvector that an eigenvalue's rounding may leave
 # in a kernel vector (_mixing) before eigenvector_iprs repairs it
 MIXING_TOL = 1e-10
-# largest fraction of a draw's vectors that eigenvector_iprs repairs one at a
-# time; past it one eigh costs less (N = 1024: 0.6 ms a repair, 0.2 s an eigh)
-REPAIR_SHARE = 0.25
 # energies x sites per sweep chunk; the chunk's workspace (_levels) holds
 # 4 / n_1 + 1 / (n_1 n_2) times as many doubles, 2.25 at degree 2 (W4 adds
 # 1 / n_1 + 1 / (n_1 n_2), 0.75 at degree 2)
@@ -133,9 +130,10 @@ def _levels(t, seq, values, z, r, work, ok, squares=False, fourths=False):
     level 1: it is formed one child slot at a time, in a scratch of the level-1
     shape, and summed into the level-1 sums, so no array spans the sites.  With
     squares, w = W_s, the squared norms of the level vectors over the rank-s
-    clusters (see _sweep); else None.  With fourths too, w4 = W4_s, their sums
-    of fourth powers, W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from
-    W4_0 = v_0^4 (see _ipr_sweep); else None.  ok is the level-0 mask (_level0_ok),
+    clusters (see _sweep); else None.  With fourths (which implies squares),
+    w4 = W4_s, their sums of fourth powers,
+    W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from W4_0 = v_0^4
+    (see _ipr_sweep); else None.  ok is the level-0 mask (_level0_ok),
     cut in place from the first level with |denom| below POLE_TOL, past which
     alpha is not meaningful.  The dtype follows z.
 
@@ -147,6 +145,7 @@ def _levels(t, seq, values, z, r, work, ok, squares=False, fourths=False):
     and w and w4 until the one after it.
     """
     dtype = np.result_type(values, z)
+    squares = squares or fourths  # W4_s is formed from the squares of W_s
     alpha = w = w4 = None
     for s in range(1, r + 1):
         n_s = t.factor(s)
@@ -460,9 +459,9 @@ def eigenvector_iprs(
     u = eps max|e|, which mixes other eigenvectors into its kernel vector
     (_mixing); each vector mixed by more than MIXING_TOL is repaired by one
     step of inverse iteration (_inverse_iteration_ipr), which cuts the share
-    of u_j by u / (|e_j - e_i| - u).  The draw is declined where more than
-    REPAIR_SHARE of the vectors are mixed or one step cannot bring a share
-    below MIXING_TOL.  At rank 0 the vector is a point mass.
+    of u_j by u / (|e_j - e_i| - u).  The draw is declined where one step
+    cannot bring a share below MIXING_TOL.  At rank 0 the vector is a point
+    mass.
     """
     if r == 0:
         return np.ones(len(eigenvalues))
@@ -476,7 +475,7 @@ def eigenvector_iprs(
     gaps = np.diff(eigenvalues)
     nearest = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))[mixed]
     repairable = mixing[mixed] * unit <= MIXING_TOL * (nearest - unit)
-    if mixed.size > REPAIR_SHARE * eigenvalues.size or not repairable.all():
+    if not repairable.all():
         return None
     for k in mixed.tolist():
         iprs[k] = _inverse_iteration_ipr(q, seq, values, eigenvalues[k], r)

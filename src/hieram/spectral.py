@@ -28,13 +28,14 @@ class EigenvalueGroupingError(ArithmeticError):
 class SpectralMeasure:
     """Finite list of spectral atoms with a declared total mass.
 
-    ``tails``, where given, holds 1 - locations formed without cancellation.
+    ``tails`` holds 1 - locations, formed without cancellation where the
+    source knows them exactly.
     """
 
     locations: np.ndarray
     weights: np.ndarray
     mass: float
-    tails: np.ndarray | None = None
+    tails: np.ndarray
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
@@ -148,7 +149,7 @@ def finite_volume_dos(
     groups = group_eigenvalues(values, restricted_full_spectrum(t, seq, r))
     locations = np.array([loc for loc, _ in groups])
     weights = np.array([mult / t.sizes[r] for _, mult in groups])
-    return SpectralMeasure(locations, weights, 1.0)
+    return SpectralMeasure(locations, weights, 1.0, 1.0 - locations)
 
 
 def spectral_dimension(seq: GeometricCoupling, degree: int) -> float:
@@ -166,12 +167,12 @@ def fit_spectral_dimension(
     """Least-squares edge-scaling fit of the measure near the top of the band.
 
     Samples the cumulative mass of [1-t, 1] exactly at the jump points
-    t = 1 - lambda_r inside [t_min, t_max], taken from measure.tails where
-    given; twice the log-log slope estimates the spectral dimension.
+    t = 1 - lambda_r inside [t_min, t_max], read from measure.tails; twice the
+    log-log slope estimates the spectral dimension.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
-    t_vals = 1.0 - measure.locations if measure.tails is None else measure.tails
+    t_vals = measure.tails
     # mass of [location_r, 1] treating the declared remainder as lying above
     suffix = 1.0 - np.concatenate([[0.0], np.cumsum(measure.weights)[:-1]])
     keep = (t_vals >= t_min) & (t_vals <= t_max) & (t_vals > 0) & (suffix > 0)

@@ -161,6 +161,54 @@ def test_mixed_vectors_are_repaired():
     assert np.abs(repaired - iprs).max() < 2e-9
 
 
+def test_heavy_tailed_draw_keeps_the_kernel_through_many_repairs(monkeypatch):
+    # Cauchy disorder at N = 1024 (seed 301, draw 1): tail eigenvalues make the
+    # rounding unit eps max|e| large, so most vectors read as mixed; each one
+    # is repairable, so the draw keeps the kernel and needs no eigh
+    t = _t(10)
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(Cauchy(0.0, 0.5), t, 301, 1)
+    values, iprs = _oracle(t, seq, omega, 10)
+    raw, _, norms, _ = greens._sweep_grid(greens._ipr_sweep, t, seq, omega, values, 10, 0)
+    unit = np.finfo(float).eps * np.abs(values).max()
+    assert np.mean(greens._mixing(values, norms, unit) > greens.MIXING_TOL) > 0.25
+    solves = []
+    solve = operators.dense_symmetric_eigensolve
+
+    def spy(a, vectors=True):
+        solves.append(vectors)
+        return solve(a, vectors)
+
+    monkeypatch.setattr(operators, "dense_symmetric_eigensolve", spy)
+    pairs = np.array(ipr_profile(t, seq, omega, 10))
+    assert solves == [False]
+    assert np.abs(pairs[:, 0] - values).max() <= 1e-12 * np.abs(values).max()
+    assert np.abs(pairs[:, 1] - iprs).max() < 1e-8
+
+
+def test_fourths_imply_squares():
+    # W4_s is formed from the squares of W_s, so asking for fourths alone must
+    # give the sums of v_s^4, with v_s = (H_s - e)^{-1} phi_Q the level vector
+    t = build_truncation(HierarchySpec.explicit([3, 2, 2]))
+    seq = GeometricCoupling(3.0)
+    omega = sample_potential(Gaussian(0.0, 1.0), t, 5, 0)
+    z = np.linspace(-2.1, 2.1, 9)
+
+    def last_w4(**flags):
+        ok = greens._level0_ok(omega.values, z, {})
+        for _, _, _, w4 in greens._levels(t, seq, omega.values, z, 3, {}, ok, **flags):
+            pass
+        assert ok.all()
+        return w4[:, 0].copy()
+
+    w4 = last_w4(fourths=True)
+    assert np.array_equal(w4, last_w4(squares=True, fourths=True))
+    h = hamiltonian(t, seq, omega, 3).dense()
+    for k, e in enumerate(z):
+        v = np.linalg.solve(h - e * np.eye(12), np.full(12, 1 / np.sqrt(12)))
+        assert w4[k] == pytest.approx(np.sum(v**4), rel=1e-10)
+
+
 def test_no_eigenvector_matrix_at_the_localize_benchmark_shape(monkeypatch):
     # N = 1024: the dense block is 8 MiB, and the eigh path also held the
     # 8 MiB eigenvector matrix and two 8 MiB temporaries (32 MiB in all)
