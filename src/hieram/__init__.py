@@ -39,7 +39,7 @@ from .greens import (
     green_column,
     green_entry,
 )
-from .hierarchy import ClusterId, HierarchySpec, Truncation, build_truncation
+from .hierarchy import HierarchySpec, Truncation
 from .operators import (
     DenseCapError,
     DenseSpectrum,

@@ -428,10 +428,13 @@ def resolve_grid(cfg: dict, dist) -> tuple[float, float, int]:
         if not ("min" in g and "max" in g):
             raise ConfigError("energy_grid: min and max must come together")
         lo, hi = g["min"], g["max"]
-    else:
-        # default: the free band [0, 1] padded by the disorder half-width
-        half = getattr(dist, "width", 1.0) / 2 if dist.kind == "uniform" else 1.0
-        lo, hi = -half, 1.0 + half
+    elif dist.kind == "uniform":  # default: the free band [0, 1] plus the disorder's range
+        lo, hi = dist.center - dist.width / 2, dist.center + 1.0 + dist.width / 2
+    elif dist.kind == "bernoulli":
+        lo, hi = min(dist.a, dist.b) - 1.0, max(dist.a, dist.b) + 1.0
+    else:  # Gaussian mean or Cauchy location m: [m - 1, m + 2]
+        m = dist.mean if dist.kind == "gaussian" else dist.location
+        lo, hi = m - 1.0, m + 2.0
     if not hi > lo:
         raise ConfigError(f"energy_grid: need max > min, got [{lo}, {hi}]")
     if not math.isfinite(float(hi) - float(lo)):
@@ -553,14 +556,14 @@ def run_green(ctx, writer: OutputWriter) -> dict:
     z = complex(z_cfg["re"], z_cfg["im"])
     x, y, r = ctx["site"], ctx["target"], ctx["rank"]
     omega = disorder.sample_potential(dist, t, cfg["seed"], 0)
+    sites = t.cluster_sites(x, r)  # G_r(x, .) lives on Q_r(x)
     q, values, x_q = operators.cluster_cut(t, omega, r, x)
     cascade = greens.build_cascade(q, seq, values, z, r)
-    base = x - x_q  # G_r(x, .) lives on Q_r(x) = [base, base + N_r)
     column = np.zeros(t.site_count, dtype=complex)
-    column[base : base + q.site_count] = greens.green_column(cascade, x_q, r)[0]
+    column[sites.start : sites.stop] = greens.green_column(cascade, x_q, r)[0]
     moment = float(np.sum(np.abs(column) ** 2))
-    if 0 <= y - base < q.site_count:
-        entry = greens.green_entry(cascade, x_q, y - base, r)
+    if y in sites:
+        entry = greens.green_entry(cascade, x_q, y - sites.start, r)
     else:
         entry = greens.GreenQueryResult(0.0, (), t.distance(x, y))
     header = ["y", "re", "im"]

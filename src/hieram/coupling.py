@@ -261,11 +261,9 @@ class HypothesisReport:
     analytic ratio (NaN without a closed form)."""
 
     condition: str
-    u: PowerSequence | None
     r_values: tuple[int, ...]
     terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
-    last_term: float
     verdict: str
     value: float
     ratio: float
@@ -303,7 +301,7 @@ def _numeric_verdict(terms: np.ndarray, partial_sums: np.ndarray) -> str:
     return INCONCLUSIVE
 
 
-def _series(condition, u, terms, seq, ratio, poly_exponent) -> HypothesisReport:
+def _series(condition, terms, seq, ratio, poly_exponent) -> HypothesisReport:
     """The report on terms r = 1..len(terms) of a series in seq's weights.
     Its verdict is analytic if the ratio is known, else INCONCLUSIVE if mass
     lies past the last term while its p_r = 0, else the numeric heuristic."""
@@ -321,11 +319,9 @@ def _series(condition, u, terms, seq, ratio, poly_exponent) -> HypothesisReport:
     diverges = verdict in (DIVERGES_ANALYTIC, DIVERGES_NUMERIC)
     return HypothesisReport(
         condition=condition,
-        u=u,
         r_values=tuple(range(1, r_max + 1)),
         terms=tuple(terms),
         partial_sums=tuple(sums),
-        last_term=float(terms[-1]),
         verdict=verdict,
         value=math.inf if diverges else float(sums[-1] + completion),
         ratio=ratio,
@@ -379,7 +375,7 @@ def check_main_hypothesis(
     terms = main_hypothesis_terms(seq, t, u, r_max)
     a, q = seq.decay or (1.0, 0.0)
     ratio = t.degree / a if t.degree is not None and seq.decay else math.nan
-    return _series("main", u, terms, seq, ratio, 2.0 * u.exponent + q)
+    return _series("main", terms, seq, ratio, 2.0 * u.exponent + q)
 
 
 def check_molchanov_condition(
@@ -393,7 +389,7 @@ def check_molchanov_condition(
     terms = [_term(seq, r, 1.0, 1, u, (r,), b=0.0) for r in range(1, r_max + 1)]
     a, q = seq.decay or (1.0, 0.0)
     ratio = 1.0 / a if seq.decay else math.nan
-    return _series("molchanov", u, terms, seq, ratio, u.exponent + q)
+    return _series("molchanov", terms, seq, ratio, u.exponent + q)
 
 
 @dataclass(frozen=True)
@@ -433,6 +429,6 @@ def fractional_moment_bounds(
         up_ratio = t.degree ** (1.0 - s) / a**s
     return FractionalMomentBounds(
         s=s,
-        lower=_series("fractional_moment_lower", None, lower_terms, seq, low_ratio, q),
-        upper=_series("fractional_moment_upper", None, upper_terms, seq, up_ratio, s * q),
+        lower=_series("fractional_moment_lower", lower_terms, seq, low_ratio, q),
+        upper=_series("fractional_moment_upper", upper_terms, seq, up_ratio, s * q),
     )

@@ -28,11 +28,9 @@ class BoundCheckReport:
 
     rank: int
     threshold: float
-    grid: tuple[float, float, int]
     empirical_measure: float
     bound: float
     allowance: float
-    crossings: int
     skipped: int
     passed: bool
 
@@ -68,11 +66,9 @@ def measure_bound_check(
     return BoundCheckReport(
         rank=r,
         threshold=threshold,
-        grid=(float(e_min), float(e_max), int(points)),
         empirical_measure=empirical,
         bound=bound,
         allowance=allowance,
-        crossings=crossings,
         skipped=int((~ok).sum()),
         passed=empirical <= bound + allowance,
     )
@@ -154,7 +150,7 @@ def ipr_profile(
     block = operators.cutoff_dense_block(q, seq, r, cap)
     block[np.diag_indices(q.site_count)] += values
     eigenvalues = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
-    iprs = greens.eigenvector_iprs(q, seq, values, eigenvalues, r)
+    iprs = greens.eigenvector_iprs(q, seq, values, eigenvalues)
     if iprs is None:
         spectrum = operators.dense_symmetric_eigensolve(block)
         eigenvalues = spectrum.eigenvalues

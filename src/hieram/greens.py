@@ -238,12 +238,12 @@ class GreenQueryResult:
         return reduce(operator.sub, self.terms, g0)
 
 
-def _level_term(c: GreenCascade, x: int, s: int, sites: slice) -> np.ndarray:
-    """The level-s term p_s N_{s-1} g_{s-1}(x) g_s(y) of G(x, y) over the
-    sites y of a slice, which lie in the rank-s cluster of x."""
+def _level_term(c: GreenCascade, x: int, s: int, sites: range) -> np.ndarray:
+    """The level-s term p_s N_{s-1} g_{s-1}(x) g_s(y) of G(x, y) over a range
+    of sites y, which lie in the rank-s cluster of x."""
     t = c.trunc
     coeff = c.coupling.p(s) * t.sizes[s - 1] * c.g(s - 1, x) / math.sqrt(t.sizes[s])
-    return coeff * c.levels[s][sites]
+    return coeff * c.levels[s][sites.start : sites.stop]
 
 
 def green_entry(c: GreenCascade, x: int, y: int, r: int) -> GreenQueryResult:
@@ -254,7 +254,7 @@ def green_entry(c: GreenCascade, x: int, y: int, r: int) -> GreenQueryResult:
     d = t.distance(x, y)
     g0 = 1.0 / (c.omega[x] - c.z) if x == y else 0.0
     first = max(1, d)
-    terms = tuple(_level_term(c, x, s, slice(y, y + 1))[0] for s in range(first, r + 1))
+    terms = tuple(_level_term(c, x, s, range(y, y + 1))[0] for s in range(first, r + 1))
     return GreenQueryResult(reduce(operator.sub, terms, g0), terms, first)
 
 
@@ -271,9 +271,8 @@ def green_column(c: GreenCascade, x: int, r: int) -> tuple[np.ndarray, float]:
     col = np.zeros(t.site_count, dtype=complex)
     col[x] = 1.0 / (c.omega[x] - c.z)
     for s in range(1, r + 1):
-        n_s = t.sizes[s]
-        cluster = slice((x // n_s) * n_s, (x // n_s + 1) * n_s)
-        col[cluster] -= _level_term(c, x, s, cluster)
+        cluster = t.cluster_sites(x, s)
+        col[cluster.start : cluster.stop] -= _level_term(c, x, s, cluster)
     moment = float(np.sum(np.abs(col) ** 2))
     return col, moment
 
@@ -391,11 +390,12 @@ def _ipr_sweep(t, seq, values, energies, x, r, work):
     return iprs, residuals, norms, ok
 
 
-def _sweep_grid(sweep, t, seq, omega, energies, r, x):
-    """sweep (_sweep, _norm_sweep or _ipr_sweep) over real energies on the cut of Q_r(x)
-    (operators.cluster_cut), in chunks of SWEEP_CELLS // N_r energies that
-    share one workspace; each output is joined along its energy axis."""
-    q, values, x_q = cluster_cut(t, omega, r, x)
+def _sweep_grid(sweep, cut, seq, energies, r):
+    """sweep (_sweep, _norm_sweep or _ipr_sweep) over real energies on cut, the
+    (lattice, potential, site) of Q_r(x) that operators.cluster_cut gives, in
+    chunks of SWEEP_CELLS // N_r energies that share one workspace; each output
+    is joined along its energy axis."""
+    q, values, x_q = cut
     energies = np.asarray(energies, dtype=float)
     chunk, work = max(1, SWEEP_CELLS // q.site_count), {}
     parts = [
@@ -420,7 +420,7 @@ def moment_ladder_sweep(
     points within pole tolerance of the finite-volume spectrum are flagged
     False in ok and their moments are not meaningful.
     """
-    return _sweep_grid(_sweep, t, seq, omega, energies, r_max, x)
+    return _sweep_grid(_sweep, cluster_cut(t, omega, r_max, x), seq, energies, r_max)
 
 
 def cluster_norm_sweep(
@@ -436,20 +436,17 @@ def cluster_norm_sweep(
     The indicator solve is sqrt(N_r) times the cascade's phi solve, so the
     squared norm is N_r times the squared norm of the rank-r level vector.
     """
-    return _sweep_grid(_norm_sweep, t, seq, omega, energies, r, x)
+    return _sweep_grid(_norm_sweep, cluster_cut(t, omega, r, x), seq, energies, r)
 
 
 def eigenvector_iprs(
-    t: Truncation,
-    seq: CouplingSequence,
-    omega,
-    eigenvalues: np.ndarray,
-    r: int,
-    x: int = 0,
+    q: Truncation, seq: CouplingSequence, values: np.ndarray, eigenvalues: np.ndarray
 ) -> np.ndarray | None:
-    """IPRs of the eigenvectors of H_r on Q_r(x) at its ascending eigenvalues,
-    from the kernel vectors psi = (H_{r-1} - e)^{-1} phi_Q (_ipr_sweep), with
-    no eigenvector matrix; or None where the draw needs a dense eigh.
+    """IPRs of the eigenvectors of H_r on a rank-r cluster at its ascending
+    eigenvalues, given the cluster's cut (operators.cluster_cut): its lattice
+    q, of depth r, and the potential values on it.  They come from the kernel
+    vectors psi = (H_{r-1} - e)^{-1} phi_Q (_ipr_sweep), with no eigenvector
+    matrix; or None where the draw needs a dense eigh.
 
     The kernel must vouch for every vector: no eigenvalue within the pole
     guard of a level below r, every IPR finite, and every residual
@@ -463,10 +460,10 @@ def eigenvector_iprs(
     cannot bring a share below MIXING_TOL.  At rank 0 the vector is a point
     mass.
     """
+    r = q.depth
     if r == 0:
         return np.ones(len(eigenvalues))
-    q, values, _ = cluster_cut(t, omega, r, x)
-    iprs, residuals, norms, ok = _sweep_grid(_ipr_sweep, q, seq, values, eigenvalues, r, 0)
+    iprs, residuals, norms, ok = _sweep_grid(_ipr_sweep, (q, values, 0), seq, eigenvalues, r)
     if not (ok.all() and np.isfinite(iprs).all() and (residuals <= EIGEN_RESIDUAL_TOL).all()):
         return None
     unit = np.finfo(float).eps * np.abs(eigenvalues).max()

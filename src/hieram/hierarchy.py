@@ -1,9 +1,9 @@
 """Finite hierarchical lattices: cluster addressing and the ultrametric distance.
 
 Sites are integers 0..N_R-1 in little-endian mixed-radix addressing, so the
-rank-r cluster containing x is the contiguous range [ (x // N_r) * N_r,
-(x // N_r + 1) * N_r ).  Membership is a range test and per-level scans are
-blocked, which keeps the operator kernels cache friendly.
+rank-r cluster containing x is the contiguous range Truncation.cluster_sites
+gives, the one place that forms it.  Membership is a range test and per-level
+scans are blocked, which keeps the operator kernels cache friendly.
 """
 
 from __future__ import annotations
@@ -80,14 +80,6 @@ class HierarchySpec:
         return n
 
 
-@dataclass(frozen=True)
-class ClusterId:
-    """A rank-r cluster, identified by its index in addressing order."""
-
-    rank: int
-    index: int
-
-
 class Truncation:
     """A depth-R hierarchical lattice on sites 0..N_R-1.
 
@@ -125,34 +117,19 @@ class Truncation:
         self.check_rank(r)
         return Truncation(HierarchySpec(self.spec.factors[:r], r, self.degree))
 
-    def num_clusters(self, r: int) -> int:
-        self.check_rank(r)
-        return self.site_count // self.sizes[r]
-
-    def cluster_of(self, x: int, r: int) -> ClusterId:
-        """The unique rank-r cluster Q_r(x) containing site x."""
+    def cluster_sites(self, x: int, r: int) -> range:
+        """The sites of Q_r(x), the rank-r cluster holding site x: the range
+        [(x // N_r) N_r, (x // N_r + 1) N_r)."""
         self.check_site(x)
         self.check_rank(r)
-        return ClusterId(r, x // self.sizes[r])
-
-    def cluster_members(self, c: ClusterId) -> range:
-        """Sites of a cluster as a contiguous range of length N_r."""
-        self.check_rank(c.rank)
-        n_r = self.sizes[c.rank]
-        if not 0 <= c.index < self.site_count // n_r:
-            raise ValueError(
-                f"cluster index {c.index} out of range at rank {c.rank}"
-            )
-        return range(c.index * n_r, (c.index + 1) * n_r)
+        base = x // self.sizes[r] * self.sizes[r]
+        return range(base, base + self.sizes[r])
 
     def distance(self, x: int, y: int) -> int:
         """Hierarchical distance: the smallest rank r with y in Q_r(x)."""
         self.check_site(x)
         self.check_site(y)
-        for r in range(self.depth + 1):
-            if x // self.sizes[r] == y // self.sizes[r]:
-                return r
-        raise AssertionError("unreachable: Q_R is the whole lattice")
+        return next(r for r in range(self.depth + 1) if int(y) in self.cluster_sites(x, r))
 
     def check_site(self, x: int):
         if not 0 <= x < self.site_count:
@@ -161,11 +138,6 @@ class Truncation:
     def check_rank(self, r: int):
         if not 0 <= r <= self.depth:
             raise ValueError(f"rank {r} out of range [0, {self.depth}]")
-
-
-def build_truncation(spec: HierarchySpec) -> Truncation:
-    """Construct the finite truncation with sizes N_0..N_R."""
-    return Truncation(spec)
 
 
 def distance_matrix(t: Truncation) -> np.ndarray:

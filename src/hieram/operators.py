@@ -133,7 +133,7 @@ def hamiltonian(
 def cluster_cut(t: Truncation, omega, r: int, x: int):
     """Q_r(x) as a lattice of its own: (t.cluster_lattice(r), the potential
     on its sites, the local index of x there)."""
-    sites = t.cluster_members(t.cluster_of(x, r))
+    sites = t.cluster_sites(x, r)
     values = potential_values(t, omega)[sites.start : sites.stop]
     return t.cluster_lattice(r), values, x - sites.start
 
@@ -172,11 +172,15 @@ def dense_symmetric_eigensolve(a: np.ndarray, vectors: bool = True) -> DenseSpec
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("cannot eigensolve an empty matrix")
-    asym = 0.0  # a panel of rows at a time: no n x n temporary
+    # one pass, a panel of rows at a time and no n x n temporary: the scale
+    # from the whole panel, the asymmetry from its pairs (x, y >= x) alone
+    asym = scale = 0.0
     for lo in range(0, len(a), SYMMETRY_PANEL):
-        panel = a[lo : lo + SYMMETRY_PANEL] - a[:, lo : lo + SYMMETRY_PANEL].T
+        rows = a[lo : lo + SYMMETRY_PANEL]
+        scale = max(scale, rows.max(), -rows.min())
+        panel = rows[:, lo:] - a[lo:, lo : lo + SYMMETRY_PANEL].T
         asym = np.abs(panel).max(initial=asym)
-    if asym > 1e-12 * max(1.0, a.max(), -a.min()):
+    if asym > 1e-12 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:g}")
     if not vectors:
         return DenseSpectrum(np.linalg.eigvalsh(a), np.empty((len(a), 0)))

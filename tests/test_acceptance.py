@@ -16,10 +16,10 @@ from hieram import (
     HierarchySpec,
     PolyGeometricCoupling,
     PowerSequence,
+    Truncation,
     Uniform,
     borel_cantelli_profile,
     build_cascade,
-    build_truncation,
     check_main_hypothesis,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
@@ -59,7 +59,7 @@ def test_criterion_1_exact_cutoff_spectrum():
     start = time.time()
     failures = []
     for degree, rho in itertools.product((2, 3), (2.0, 4.0)):
-        t = build_truncation(HierarchySpec.homogeneous(degree, 6))
+        t = Truncation(HierarchySpec.homogeneous(degree, 6))
         seq = GeometricCoupling(rho)
         for r in range(t.depth + 1):
             exact = exact_cutoff_spectrum(t, seq, r)
@@ -87,7 +87,7 @@ def test_criterion_1_exact_cutoff_spectrum():
 def test_criterion_2_compression_spectrum():
     failures = []
     for degree, rho in itertools.product((2, 3), (2.0, 4.0)):
-        t = build_truncation(HierarchySpec.homogeneous(degree, 4))
+        t = Truncation(HierarchySpec.homogeneous(degree, 4))
         seq = GeometricCoupling(rho)
         dense = dense_symmetric_eigensolve(
             compression_dense_block(t, seq, t.depth)
@@ -112,7 +112,7 @@ def test_criterion_2_compression_spectrum():
 
 def test_criterion_3_dos_convergence():
     failures = []
-    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    t = Truncation(HierarchySpec.homogeneous(2, 6))
     seq = GeometricCoupling(4.0)
     lams = [seq.lam(s) for s in range(8)]
     for s in range(4):
@@ -183,7 +183,7 @@ def test_criterion_6_green_cascade_oracle():
     rng = np.random.default_rng(20260810)
     for trial in range(20):
         spec, seq = cases[trial % len(cases)]
-        t = build_truncation(spec)
+        t = Truncation(spec)
         omega = sample_potential(Uniform(0.0, 1.0), t, 1000, trial)
         im = rng.uniform(0.1, 2.0) * (1 if trial % 2 else -1)
         z = complex(rng.uniform(-0.5, 1.5), im)
@@ -202,7 +202,7 @@ def test_criterion_6_green_cascade_oracle():
                 value = green_entry(cascade, x, y, r).value
                 if abs(value - ref[y]) >= 1e-9 * max(scale, 1.0):
                     failures.append((trial, r, "expansion", y))
-            members = t.cluster_members(t.cluster_of(x, r))
+            members = t.cluster_sites(x, r)
             outside = np.ones(t.site_count, dtype=bool)
             outside[list(members)] = False
             if not np.all(col[outside] == 0.0):
@@ -221,7 +221,7 @@ def test_criterion_6_green_cascade_oracle():
 
 def test_criterion_7_measure_bound():
     failures = []
-    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    t = Truncation(HierarchySpec.homogeneous(2, 6))
     seq = GeometricCoupling(4.0)
     r = 6
     threshold = float((r**2 * t.sizes[r]) ** 2)
@@ -235,7 +235,7 @@ def test_criterion_7_measure_bound():
 
 def test_criterion_8_hypothesis_checkers():
     failures = []
-    t2 = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t2 = Truncation(HierarchySpec.homogeneous(2, 3))
     u2 = PowerSequence(2.0)
     if check_main_hypothesis(GeometricCoupling(4.0), t2, u2, 40).converges is not True:
         failures.append("geometric rho=4 should converge")
@@ -256,7 +256,7 @@ def test_criterion_8_hypothesis_checkers():
 def test_criterion_9_localization_proxy():
     start = time.time()
     failures = []
-    t = build_truncation(HierarchySpec.homogeneous(2, 10))
+    t = Truncation(HierarchySpec.homogeneous(2, 10))
     seq = GeometricCoupling(4.0)
     rep = localization_sweep(
         t,

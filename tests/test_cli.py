@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from hieram import (
     Bernoulli,
     GeometricCoupling,
     HierarchySpec,
-    build_truncation,
+    Truncation,
     cli,
     diagnostics,
     disorder,
@@ -242,6 +243,80 @@ def test_out_of_range_rank_or_site_leaves_no_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand,extra,detail",
+    [
+        (
+            "walk",
+            {"hierarchy": {"branching": [2, 2], "depth": 3}},
+            r"hierarchy: depth must match the branching length",
+        ),
+        ("walk", {"hierarchy": {"depth": 3}}, r"hierarchy: need degree or branching"),
+        ("walk", {"coupling": {"family": "geometric"}}, r"coupling: 'rho'"),
+        (
+            "walk",
+            {"coupling": {"family": "explicit", "weights": [0.5, 0.75]}},
+            r"coupling: weights plus tail mass must total 1 within 1e-12, got 1\.25",
+        ),
+        (
+            "moments",
+            {"disorder": {"kind": "uniform", "mean": 0.0}},
+            r"disorder: (Uniform\.)?__init__\(\) got an unexpected keyword argument 'mean'",
+        ),
+        (
+            "moments",
+            {"energy_grid": {"min": 0.0, "points": 5}},
+            r"energy_grid: min and max must come together",
+        ),
+        (
+            "moments",
+            {"energy_grid": {"min": 1.0, "max": 0.5, "points": 5}},
+            r"energy_grid: need max > min, got \[1\.0, 0\.5\]",
+        ),
+        ("moments", {"ranks": [0, 5]}, r"ranks must not exceed the depth 4"),
+        ("dimension", {"fit_window": [5, 5]}, r"fit_window must be increasing, got \[5, 5\]"),
+    ],
+)
+def test_resolver_refusals_exit_2_and_leave_no_output(tmp_path, capsys, subcommand, extra, detail):
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and re.fullmatch(detail, err["detail"]), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "disorder,window",
+    [
+        # the free band [0, 1] plus the disorder's range, wherever it sits
+        ({"kind": "uniform", "center": 5.0, "width": 1.0}, (4.5, 6.5)),
+        ({"kind": "gaussian", "mean": -2.0, "sigma": 0.5}, (-3.0, 0.0)),
+        ({"kind": "cauchy", "location": 3.0, "scale": 1.0}, (2.0, 5.0)),
+        ({"kind": "bernoulli", "a": 4.0, "b": -1.0}, (-2.0, 5.0)),
+        # at location 0, or {a, b} = {0, 1}, the windows of the centred rule
+        ({"kind": "uniform", "center": 0.0, "width": 3.0}, (-1.5, 2.5)),
+        ({"kind": "gaussian", "mean": 0.0, "sigma": 2.0}, (-1.0, 2.0)),
+        ({"kind": "cauchy", "location": 0.0, "scale": 0.5}, (-1.0, 2.0)),
+        ({"kind": "bernoulli", "a": 1.0, "b": 0.0}, (-1.0, 2.0)),
+    ],
+    ids=lambda v: v["kind"] if isinstance(v, dict) else None,
+)
+def test_default_grid_follows_the_disorder(disorder, window):
+    cfg = base_config(disorder=disorder)
+    assert cli.resolve_grid(cfg, cli.resolve_disorder(cfg)) == (*window, 2001)
+
+
+def test_default_grid_covers_a_shifted_spectrum(tmp_path):
+    # uniform disorder centred at 5: H_4 lies in [4.5, 6.5], the default grid
+    cfg = base_config(disorder={"kind": "uniform", "center": 5.0, "width": 1.0}, rank=4)
+    out = tmp_path / "out"
+    assert main(["bound", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["grid"] == [4.5, 6.5, 2001]
+    values = np.linalg.eigvalsh(_dense_h(cfg, 4)[0])
+    assert 4.5 <= values.min() and values.max() <= 6.5
+
+
 def test_hypothesis_with_declared_tail_is_inconclusive(tmp_path):
     cfg = base_config(coupling={"family": "explicit", "weights": [0.5, 0.25], "tail": 0.25})
     out = tmp_path / "o"
@@ -392,7 +467,7 @@ def _cut_lattice_config(**extra):
 
 
 def _dense_h(cfg, r):
-    t = build_truncation(cli.resolve_hierarchy(cfg))
+    t = Truncation(cli.resolve_hierarchy(cfg))
     omega = disorder.sample_potential(cli.resolve_disorder(cfg), t, cfg["seed"], 0)
     return hamiltonian(t, cli.resolve_coupling(cfg), omega, r).dense(), omega.values
 
@@ -719,7 +794,7 @@ def test_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, hierarchy, c
     cfg = base_config(hierarchy=hierarchy, coupling=coupling, include_tail=tail)
     out = tmp_path / "out"
     assert main([subcommand, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    t = build_truncation(cli.resolve_hierarchy(cfg))
+    t = Truncation(cli.resolve_hierarchy(cfg))
     seq = cli.resolve_coupling(cfg)
     r = t.depth
     atoms = (restricted_full_spectrum if tail else exact_cutoff_spectrum)(t, seq, r)
@@ -923,7 +998,7 @@ def test_moments_table_matches_row_loop(tmp_path, subcommand):
     config = write_config(tmp_path, base_config(**extra))
     out = tmp_path / "out"
     assert main([subcommand, "--config", config, "--out", str(out)]) == 0
-    t = build_truncation(HierarchySpec.homogeneous(2, 4))
+    t = Truncation(HierarchySpec.homogeneous(2, 4))
     dist = Bernoulli(0.0, 1.0, 0.5)
     seq = GeometricCoupling(4.0)
     report = localization_sweep(t, seq, dist, 12345, 3, (-0.5, 1.5, 9), [0, 2, 4])

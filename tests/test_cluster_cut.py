@@ -18,13 +18,14 @@ from hieram import (
     GeometricCoupling,
     HierarchySpec,
     PolyGeometricCoupling,
+    Truncation,
     Uniform,
     build_cascade,
-    build_truncation,
     green_column,
     ipr_profile,
     sample_potential,
 )
+from hieram import greens, operators
 from hieram.greens import cluster_norm_sweep, moment_ladder_sweep
 from hieram.operators import (
     HierarchicalOperator,
@@ -56,7 +57,7 @@ def cases(draw):
             st.lists(st.integers(2, 3), min_size=1, max_size=4),
         )
     )
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = draw(st.sampled_from(COUPLINGS))
     dist = draw(st.sampled_from(DISORDERS))
     omega = sample_potential(dist, t, draw(st.integers(0, 2**32)), draw(st.integers(0, 3)))
@@ -105,3 +106,29 @@ def test_dense_blocks_are_every_cluster_block_of_the_whole_matrix(case):
             b = block(t, seq, r)
             for base in range(0, t.site_count, n_r):
                 assert _same_bits(b, whole[base : base + n_r, base : base + n_r])
+
+
+def test_each_per_site_query_cuts_its_cluster_once(monkeypatch):
+    # diagnostics reads operators.cluster_cut, greens its own imported name
+    calls, cut = [], operators.cluster_cut
+
+    def counted(t, omega, r, x):
+        calls.append((r, x))
+        return cut(t, omega, r, x)
+
+    monkeypatch.setattr(operators, "cluster_cut", counted)
+    monkeypatch.setattr(greens, "cluster_cut", counted)
+    t = Truncation(HierarchySpec.homogeneous(2, 6))
+    seq = GeometricCoupling(4.0)
+    energies = np.linspace(-0.5, 1.5, 11)
+    # a uniform draw keeps the kernel; a Bernoulli one falls back to eigh
+    for dist in (Uniform(0.0, 1.0), Bernoulli(0.0, 1.0, 0.5)):
+        omega = sample_potential(dist, t, 301, 0)
+        for query in (
+            lambda: ipr_profile(t, seq, omega, 4, x=21),
+            lambda: moment_ladder_sweep(t, seq, omega, energies, 4, 21),
+            lambda: cluster_norm_sweep(t, seq, omega, energies, 4, 21),
+        ):
+            calls.clear()
+            query()
+            assert calls == [(4, 21)]

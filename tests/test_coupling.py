@@ -10,7 +10,7 @@ from hieram import (
     HierarchySpec,
     PolyGeometricCoupling,
     PowerSequence,
-    build_truncation,
+    Truncation,
     check_main_hypothesis,
     check_molchanov_condition,
     fractional_moment_bounds,
@@ -227,7 +227,7 @@ def test_power_sequence_past_the_float_range():
 
 
 def test_main_hypothesis_geometric_converges():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     rep = check_main_hypothesis(GeometricCoupling(4.0), t, PowerSequence(2.0), 30)
     assert rep.verdict == CONVERGES_ANALYTIC
     assert rep.converges is True
@@ -238,17 +238,16 @@ def test_main_hypothesis_geometric_converges():
 
 
 def test_main_hypothesis_geometric_diverges():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     rep = check_main_hypothesis(GeometricCoupling(2.0), t, PowerSequence(2.0), 30)
     assert rep.verdict == DIVERGES_ANALYTIC
     assert rep.converges is False
     for r, term in zip(rep.r_values, rep.terms):
         assert term == pytest.approx(0.5 * (r - 1) ** 2 * r**2, rel=1e-13)
-    assert rep.last_term == rep.terms[-1]
 
 
 def test_main_hypothesis_polygeometric_matches_published_window():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     rep = check_main_hypothesis(
         PolyGeometricCoupling(2, 0.3), t, PowerSequence(1.1), 40
     )
@@ -262,13 +261,13 @@ def test_main_hypothesis_polygeometric_matches_published_window():
 
 @pytest.mark.parametrize("degree,rho", [(2, 2.0), (2, 4.0), (3, 2.0), (3, 4.0), (4, 3.0)])
 def test_main_hypothesis_verdict_iff_ratio_below_one(degree, rho):
-    t = build_truncation(HierarchySpec.homogeneous(degree, 2))
+    t = Truncation(HierarchySpec.homogeneous(degree, 2))
     rep = check_main_hypothesis(GeometricCoupling(rho), t, PowerSequence(2.0), 25)
     assert rep.converges is (degree / rho < 1.0)
 
 
 def test_main_hypothesis_rejects_tiny_horizon():
-    t = build_truncation(HierarchySpec.homogeneous(2, 2))
+    t = Truncation(HierarchySpec.homogeneous(2, 2))
     with pytest.raises(ValueError):
         check_main_hypothesis(GeometricCoupling(4.0), t, PowerSequence(2.0), 1)
 
@@ -294,7 +293,7 @@ def test_molchanov_condition_explicit_diverges():
 def test_declared_tail_mass_past_r_max_is_inconclusive(r_max):
     # a quarter of the mass lies past the list, where p_r reads 0, so the
     # vanishing terms say nothing about how that mass is spread
-    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    t = Truncation(HierarchySpec.homogeneous(2, 6))
     seq = ExplicitCoupling([0.5, 0.25], 0.25)
     assert check_main_hypothesis(seq, t, r_max=r_max).verdict == INCONCLUSIVE
     assert check_molchanov_condition(seq, r_max=r_max).verdict == INCONCLUSIVE
@@ -307,7 +306,7 @@ def test_declared_tail_mass_past_r_max_is_inconclusive(r_max):
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.5, 0.25, 0.25]])
 def test_finite_list_without_tail_still_converges(weights):
-    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    t = Truncation(HierarchySpec.homogeneous(2, 6))
     seq = ExplicitCoupling(weights)
     assert check_main_hypothesis(seq, t, r_max=10).verdict == CONVERGES_NUMERIC
     assert check_molchanov_condition(seq, r_max=10).verdict == CONVERGES_NUMERIC
@@ -317,7 +316,7 @@ def test_finite_list_without_tail_still_converges(weights):
 
 def test_fractional_moment_bounds_frozen_oracle():
     # brute-force oracle over 400 terms froze these brackets
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     bracket = fractional_moment_bounds(GeometricCoupling(4.0), t, 0.5)
     assert bracket.lower.converges is True
     assert bracket.upper.converges is True
@@ -328,7 +327,7 @@ def test_fractional_moment_bounds_frozen_oracle():
 
 def test_fractional_moment_bounds_divergent_upper():
     # at rho = 2, s = 1/2 the upper series has constant terms sqrt(rho-1)
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     bracket = fractional_moment_bounds(GeometricCoupling(2.0), t, 0.5)
     assert bracket.upper.converges is False
     assert math.isinf(bracket.upper.value)
@@ -338,7 +337,7 @@ def test_fractional_moment_bounds_divergent_upper():
 
 
 def test_fractional_moment_bounds_degenerate_at_s_near_one():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     bracket = fractional_moment_bounds(GeometricCoupling(4.0), t, 1.0 - 1e-9)
     assert bracket.lower.value == pytest.approx(1.0, abs=1e-6)
     assert bracket.upper.value == pytest.approx(1.0, abs=1e-6)
@@ -367,7 +366,7 @@ FAMILIES = {
 @pytest.mark.parametrize("seq", FAMILIES.values(), ids=FAMILIES.keys())
 def test_plan_and_truncation_give_equal_results(plan, seq):
     # repr compares NaN ratios (plans without a degree) as equal
-    t = build_truncation(plan)
+    t = Truncation(plan)
     for u in (PowerSequence(1.1), PowerSequence(1.5)):
         assert check_main_hypothesis(seq, plan, u) == check_main_hypothesis(seq, t, u)
     for s in (0.3, 0.5):

@@ -16,7 +16,6 @@ from hieram import (
     Truncation,
     Uniform,
     borel_cantelli_profile,
-    build_truncation,
     dense_symmetric_eigensolve,
     hamiltonian,
     ipr_profile,
@@ -28,7 +27,7 @@ from hieram import (
 
 
 def _t(depth):
-    return build_truncation(HierarchySpec.homogeneous(2, depth))
+    return Truncation(HierarchySpec.homogeneous(2, depth))
 
 
 def test_bound_formula_two_sites():
@@ -145,7 +144,7 @@ def test_ipr_bounds_and_extremes():
 
 def test_summability_ledger_has_no_inf_term_past_the_float_range():
     # degree 40, rho 41: N_{r-1} passes the float range at r = 194
-    t = build_truncation(HierarchySpec.homogeneous(40, 2))
+    t = Truncation(HierarchySpec.homogeneous(40, 2))
     u = PowerSequence(1.1)
     ledger = borel_cantelli_profile(GeometricCoupling(41.0), t, u, 200)
     assert np.isfinite(ledger.hypothesis_terms).all()

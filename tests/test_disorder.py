@@ -7,8 +7,8 @@ from hieram import (
     Gaussian,
     GeometricCoupling,
     HierarchySpec,
+    Truncation,
     Uniform,
-    build_truncation,
     hamiltonian,
     laplacian,
     sample_potential,
@@ -16,7 +16,7 @@ from hieram import (
 
 
 def _t(depth=3):
-    return build_truncation(HierarchySpec.homogeneous(2, depth))
+    return Truncation(HierarchySpec.homogeneous(2, depth))
 
 
 def test_uniform_support():
@@ -41,14 +41,14 @@ def test_sampling_is_deterministic():
 
 
 def test_uniform_mean_within_clt_band():
-    t = build_truncation(HierarchySpec.homogeneous(2, 12))  # 4096 sites
+    t = Truncation(HierarchySpec.homogeneous(2, 12))  # 4096 sites
     omega = sample_potential(Uniform(0.0, 1.0), t, 2024, 0)
     sigma = (1.0 / np.sqrt(12.0)) / np.sqrt(t.site_count)
     assert abs(omega.values.mean()) < 3.0 * sigma
 
 
 def test_gaussian_and_cauchy_draws():
-    t = build_truncation(HierarchySpec.homogeneous(2, 12))
+    t = Truncation(HierarchySpec.homogeneous(2, 12))
     g = sample_potential(Gaussian(1.0, 2.0), t, 7, 0)
     assert abs(g.values.mean() - 1.0) < 3.0 * 2.0 / np.sqrt(t.site_count)
     assert abs(g.values.std() - 2.0) < 0.2
@@ -109,7 +109,7 @@ def test_rank_r_clusters_are_invariant_blocks():
     omega = sample_potential(Uniform(0.0, 1.0), t, 31, 2)
     r = 2
     h = hamiltonian(t, seq, omega, r)
-    members = list(t.cluster_members(t.cluster_of(5, r)))
+    members = list(t.cluster_sites(5, r))
     psi = np.zeros(t.site_count)
     psi[members] = np.random.default_rng(0).standard_normal(len(members))
     out = h.apply(psi)
@@ -126,8 +126,8 @@ def test_dense_hamiltonian_block_diagonal_and_symmetric():
     dense = hamiltonian(t, seq, omega, r).dense()
     assert np.array_equal(dense, dense.T)
     n_r = t.sizes[r]
-    for i in range(t.num_clusters(r)):
-        for j in range(t.num_clusters(r)):
+    for i in range(t.site_count // n_r):
+        for j in range(t.site_count // n_r):
             block = dense[i * n_r : (i + 1) * n_r, j * n_r : (j + 1) * n_r]
             if i != j:
                 assert np.all(block == 0.0)

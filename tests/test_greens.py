@@ -16,9 +16,9 @@ from hieram import (
     HierarchySpec,
     PoleProximityError,
     PolyGeometricCoupling,
+    Truncation,
     Uniform,
     build_cascade,
-    build_truncation,
     exact_cutoff_spectrum,
     green_column,
     green_entry,
@@ -31,7 +31,7 @@ from hieram.greens import cluster_norm_sweep, moment_ladder_sweep
 
 
 def _setup(degree=2, depth=3, rho=4.0, seed=17, dist=Uniform(0.0, 1.0)):
-    t = build_truncation(HierarchySpec.homogeneous(degree, depth))
+    t = Truncation(HierarchySpec.homogeneous(degree, depth))
     seq = GeometricCoupling(rho)
     omega = sample_potential(dist, t, seed, 0)
     return t, seq, omega
@@ -60,7 +60,7 @@ def moment_ladder(t, seq, omega, e, ranks, x=0):
 
 
 def test_single_site_alpha():
-    t = build_truncation(HierarchySpec.homogeneous(2, 0))
+    t = Truncation(HierarchySpec.homogeneous(2, 0))
     seq = GeometricCoupling(4.0)
     omega = PotentialSample(np.array([1.0]), Uniform(0.0, 1.0), 0, 0)
     c = build_cascade(t, seq, omega, 1j)
@@ -68,7 +68,7 @@ def test_single_site_alpha():
 
 
 def test_two_site_alpha_example():
-    t = build_truncation(HierarchySpec.homogeneous(2, 1))
+    t = Truncation(HierarchySpec.homogeneous(2, 1))
     seq = GeometricCoupling(4.0)  # p_1 = 0.75
     c = build_cascade(t, seq, _zeros(t), 1j)
     assert c.alphas[1][0] == pytest.approx(0.48 + 0.64j, abs=1e-15)
@@ -88,7 +88,7 @@ def test_alpha_matches_dense_quadratic_form():
     for s in range(t.depth + 1):
         resolvent = _dense_resolvent(t, seq, omega, z, s)
         n_s = t.sizes[s]
-        for q in range(t.num_clusters(s)):
+        for q in range(t.site_count // n_s):
             phi = np.zeros(t.site_count)
             phi[q * n_s : (q + 1) * n_s] = 1.0 / math.sqrt(n_s)
             dense_alpha = phi @ resolvent @ phi
@@ -112,7 +112,7 @@ def test_entry_rank0_and_symmetry():
 
 
 def test_entry_two_site_dense_oracle():
-    t = build_truncation(HierarchySpec.homogeneous(2, 1))
+    t = Truncation(HierarchySpec.homogeneous(2, 1))
     seq = GeometricCoupling(4.0)
     c = build_cascade(t, seq, _zeros(t), 1j)
     dense = np.linalg.inv(
@@ -152,7 +152,7 @@ def test_column_moment_rank0():
     ],
 )
 def test_column_matches_dense_solve(spec, rho):
-    t = build_truncation(spec)
+    t = Truncation(spec)
     seq = GeometricCoupling(rho)
     omega = sample_potential(Uniform(0.0, 1.0), t, 23, 1)
     z = 0.7 + 0.4j
@@ -175,7 +175,7 @@ def test_column_vanishes_off_cluster_exactly():
     x = 9
     for r in range(t.depth):
         col, _ = green_column(c, x, r)
-        members = t.cluster_members(t.cluster_of(x, r))
+        members = t.cluster_sites(x, r)
         outside = np.ones(t.site_count, dtype=bool)
         outside[list(members)] = False
         assert np.all(col[outside] == 0.0)
@@ -302,7 +302,7 @@ def _on_cluster(t, omega, r, x):
     """Q_r(x) as a lattice of its own: its first r factors, the potential on its
     sites and the local site of x."""
     sites = _cluster(t, r, x)
-    q = build_truncation(HierarchySpec.explicit(t.spec.factors[:r]))
+    q = Truncation(HierarchySpec.explicit(t.spec.factors[:r]))
     return q, omega.values[sites], x - sites.start
 
 
@@ -314,7 +314,7 @@ def sweep_cases(draw, dist):
             st.lists(st.integers(2, 4), min_size=1, max_size=4),
         )
     )
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = GeometricCoupling(draw(st.floats(1.5, 8.0)))
     omega = sample_potential(dist, t, draw(st.integers(0, 2**32)), draw(st.integers(0, 3)))
     n = t.site_count
@@ -400,7 +400,7 @@ def test_cluster_norm_sweep_matches_dense_solve(dist, data):
 def test_cascade_sums_children_in_order(factors):
     # beta_s(Q) = (((a_1 + a_2) + a_3) + ...) / n_s over the children of Q, the
     # order the sweep uses; numpy's mean sums pairwise and differs at n >= 4
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = GeometricCoupling(4.0)
     omega = sample_potential(Gaussian(0.0, 1.0), t, 5, 0)
     for z in (0.3 + 0.01j, 0.7, -1.2 + 2j):
@@ -419,7 +419,7 @@ def test_cascade_sums_children_in_order(factors):
 def test_real_cascade_alphas_are_the_float64_recursion(factors):
     # at a real energy the cascade runs in float64, bit for bit the recursion
     # the sweeps run, so the two cannot round a denominator differently
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = GeometricCoupling(4.0)
     omega = sample_potential(Uniform(0.0, 1.0), t, 301, 0)
     for e in np.linspace(-0.5, 1.5, 50):
@@ -449,7 +449,7 @@ def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist, data):
         )
     else:
         # a free grid plus every level-0..R pole, each exactly and one ulp off
-        t = build_truncation(HierarchySpec.explicit(factors))
+        t = Truncation(HierarchySpec.explicit(factors))
         seq = GeometricCoupling(4.0)
         omega = sample_potential(dist, t, 11, 0)
         poles = np.concatenate([omega.values, *_spectra(t, seq, omega, t.depth)])
@@ -471,7 +471,7 @@ def test_sweep_pole_mask_is_cascade_pole_guard(factors, dist, data):
 def test_sweep_skips_no_pole_outside_the_query_cluster():
     # V = 1 on Q_9(0) and 0 elsewhere: e = 0 and e = lambda_1 = 0.75 are poles
     # of clusters that do not touch Q_3(0), and e = 1 is a level-0 pole inside it
-    t = build_truncation(HierarchySpec.homogeneous(2, 10))
+    t = Truncation(HierarchySpec.homogeneous(2, 10))
     seq = GeometricCoupling(4.0)
     values = np.where(np.arange(t.site_count) < t.sizes[9], 1.0, 0.0)
     energies = np.linspace(-0.5, 1.5, 2001)
@@ -495,7 +495,7 @@ def _both_sweeps(t, seq, omega, energies, x):
 @pytest.mark.parametrize("factors", [[2] * 6, [3, 2, 3], [4, 2, 4], [3, 2, 4, 2, 3]])
 @pytest.mark.parametrize("site", ["first", "middle", "last"])
 def test_sweep_chunking_never_changes_a_bit(monkeypatch, factors, site):
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = GeometricCoupling(4.0)
     omega = sample_potential(Gaussian(0.0, 1.0), t, 7, 0)
     n = t.site_count
@@ -599,7 +599,7 @@ def cascades(draw, complex_only=False):
             st.lists(st.integers(2, 5), min_size=1, max_size=6).filter(lambda f: math.prod(f) <= 64),
         )
     )
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = draw(st.one_of(COUPLINGS))
     omega = sample_potential(draw(st.sampled_from(DISORDERS)), t, draw(st.integers(0, 2**32)), 0)
     re = draw(st.floats(-2.0, 3.0))

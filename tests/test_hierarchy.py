@@ -5,24 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hieram import ClusterId, HierarchySpec, build_truncation
+from hieram import HierarchySpec, Truncation
 from hieram.hierarchy import MAX_SITES, distance_matrix
 
 
 def test_build_homogeneous_degree2():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     assert t.sizes == (1, 2, 4, 8)
     assert t.site_count == 8
 
 
 def test_build_homogeneous_degree3():
-    t = build_truncation(HierarchySpec.homogeneous(3, 2))
+    t = Truncation(HierarchySpec.homogeneous(3, 2))
     assert t.sizes == (1, 3, 9)
     assert t.site_count == 9
 
 
 def test_build_mixed_branching():
-    t = build_truncation(HierarchySpec.explicit([2, 3]))
+    t = Truncation(HierarchySpec.explicit([2, 3]))
     assert t.sizes == (1, 2, 6)
     assert t.site_count == 6
 
@@ -35,41 +35,42 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         HierarchySpec.explicit([2, 1, 2])
     with pytest.raises(OverflowError):
-        build_truncation(HierarchySpec.homogeneous(2, 63))
+        Truncation(HierarchySpec.homogeneous(2, 63))
     assert MAX_SITES == 2**62
 
 
-def test_cluster_of_contiguous_ranges():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
-    c = t.cluster_of(5, 2)
-    assert c == ClusterId(2, 1)
-    assert list(t.cluster_members(c)) == [4, 5, 6, 7]
+def test_cluster_sites_contiguous_ranges():
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
+    assert t.cluster_sites(5, 2) == range(4, 8)
+    assert [t.cluster_sites(x, 2) for x in (4, 6, 7)] == [range(4, 8)] * 3
 
 
-def test_cluster_of_rank0_is_singleton():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+def test_cluster_sites_rank0_is_singleton():
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     for x in range(t.site_count):
-        assert list(t.cluster_members(t.cluster_of(x, 0))) == [x]
+        assert list(t.cluster_sites(x, 0)) == [x]
 
 
-def test_cluster_of_degree3():
-    t = build_truncation(HierarchySpec.homogeneous(3, 2))
-    assert list(t.cluster_members(t.cluster_of(7, 1))) == [6, 7, 8]
+def test_cluster_sites_degree3():
+    t = Truncation(HierarchySpec.homogeneous(3, 2))
+    assert list(t.cluster_sites(7, 1)) == [6, 7, 8]
 
 
-def test_cluster_members_examples():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
-    assert list(t.cluster_members(ClusterId(3, 0))) == list(range(8))
-    assert list(t.cluster_members(ClusterId(1, 2))) == [4, 5]
-    assert list(t.cluster_members(ClusterId(0, 5))) == [5]
+def test_cluster_sites_examples():
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
+    assert list(t.cluster_sites(5, 3)) == list(range(8))
+    assert list(t.cluster_sites(5, 1)) == [4, 5]
+    assert list(t.cluster_sites(5, 0)) == [5]
     with pytest.raises(ValueError):
-        t.cluster_members(ClusterId(1, 4))
+        t.cluster_sites(8, 1)
     with pytest.raises(ValueError):
-        t.cluster_members(ClusterId(4, 0))
+        t.cluster_sites(-1, 1)
+    with pytest.raises(ValueError):
+        t.cluster_sites(0, 4)
 
 
 def test_distance_examples():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     for x in range(8):
         assert t.distance(x, x) == 0
     assert t.distance(0, 1) == 1
@@ -79,13 +80,13 @@ def test_distance_examples():
 
 
 def test_distance_range_checks():
-    t = build_truncation(HierarchySpec.homogeneous(2, 2))
+    t = Truncation(HierarchySpec.homogeneous(2, 2))
     with pytest.raises(ValueError):
         t.distance(0, 4)
     with pytest.raises(ValueError):
         t.distance(-1, 0)
     with pytest.raises(ValueError):
-        t.cluster_of(0, 3)
+        t.cluster_sites(0, 3)
 
 
 @pytest.mark.parametrize(
@@ -97,14 +98,14 @@ def test_distance_range_checks():
     ],
 )
 def test_ultrametric_inequality_exhaustive(spec):
-    t = build_truncation(spec)
+    t = Truncation(spec)
     sites = range(t.site_count)
     for x, y, z in itertools.product(sites, sites, sites):
         assert t.distance(x, z) <= max(t.distance(x, y), t.distance(y, z))
 
 
 def test_distance_symmetric_and_separating():
-    t = build_truncation(HierarchySpec.explicit([3, 2, 2]))
+    t = Truncation(HierarchySpec.explicit([3, 2, 2]))
     for x in range(t.site_count):
         for y in range(t.site_count):
             assert t.distance(x, y) == t.distance(y, x)
@@ -115,26 +116,24 @@ def test_distance_symmetric_and_separating():
     "spec", [HierarchySpec.homogeneous(2, 4), HierarchySpec.explicit([3, 2, 4])]
 )
 def test_partition_property(spec):
-    t = build_truncation(spec)
+    t = Truncation(spec)
     for r in range(t.depth + 1):
-        seen = []
-        for index in range(t.num_clusters(r)):
-            members = list(t.cluster_members(ClusterId(r, index)))
-            assert len(members) == t.sizes[r]
-            seen += members
+        clusters = sorted({t.cluster_sites(x, r) for x in range(t.site_count)}, key=min)
+        assert [x for c in clusters for x in c] == list(range(t.site_count))
+        for c in clusters:
+            assert len(c) == t.sizes[r]
+            assert all(t.cluster_sites(x, r) == c for x in c)
             if r >= 1:
                 # a rank-r cluster splits into exactly n_r rank-(r-1) clusters
-                children = {t.cluster_of(m, r - 1).index for m in members}
-                assert len(children) == t.factor(r)
-        assert sorted(seen) == list(range(t.site_count))
+                assert len({t.cluster_sites(x, r - 1) for x in c}) == t.factor(r)
 
 
 def test_same_cluster_iff_within_distance():
-    t = build_truncation(HierarchySpec.homogeneous(3, 3))
+    t = Truncation(HierarchySpec.homogeneous(3, 3))
     for x in range(t.site_count):
         for y in range(t.site_count):
             for r in range(t.depth + 1):
-                same = t.cluster_of(x, r) == t.cluster_of(y, r)
+                same = t.cluster_sites(x, r) == t.cluster_sites(y, r)
                 assert same == (t.distance(x, y) <= r)
 
 
@@ -148,7 +147,7 @@ def test_spec_size_extends_past_depth():
 
 
 def test_distance_matrix_matches_pairwise_queries():
-    t = build_truncation(HierarchySpec.explicit([2, 3, 2]))
+    t = Truncation(HierarchySpec.explicit([2, 3, 2]))
     d = distance_matrix(t)
     for x in range(t.site_count):
         for y in range(t.site_count):
@@ -156,19 +155,19 @@ def test_distance_matrix_matches_pairwise_queries():
     # every rank-r cluster's block is the matrix of the cluster lattice
     for r in range(t.depth + 1):
         q = distance_matrix(t.cluster_lattice(r))
-        for c in range(t.num_clusters(r)):
-            sites = t.cluster_members(ClusterId(r, c))
+        for x in range(0, t.site_count, t.sizes[r]):
+            sites = t.cluster_sites(x, r)
             assert np.array_equal(d[sites.start : sites.stop, sites.start : sites.stop], q)
     with pytest.raises(ValueError):
         t.cluster_lattice(4)
 
 
 def test_cluster_lattice_is_the_plan_below_rank_r():
-    t = build_truncation(HierarchySpec.homogeneous(3, 4))
+    t = Truncation(HierarchySpec.homogeneous(3, 4))
     q = t.cluster_lattice(2)
     assert (q.depth, q.degree, q.sizes, q.site_count) == (2, 3, (1, 3, 9), 9)
     assert q.size(5) == t.size(5)  # extends the plan as t does
-    mixed = build_truncation(HierarchySpec.explicit([2, 3, 4]))
+    mixed = Truncation(HierarchySpec.explicit([2, 3, 4]))
     assert mixed.cluster_lattice(2).spec == HierarchySpec.explicit([2, 3])
     assert mixed.cluster_lattice(3).spec == mixed.spec
     assert mixed.cluster_lattice(0).site_count == 1
@@ -192,7 +191,7 @@ def distance_matrix_oracle(t):
 def test_distance_matrix_matches_the_per_rank_oracle(data):
     # up to 4^5 = 1024 sites; the empty plan is the one-site lattice
     factors = data.draw(st.lists(st.integers(2, 4), max_size=5), label="factors")
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     r = data.draw(st.integers(0, t.depth), label="r")
     for lattice in (t, t.cluster_lattice(r)):
         d = distance_matrix(lattice)
@@ -211,7 +210,7 @@ def test_distance_matrix_matches_the_per_rank_oracle(data):
     ],
 )
 def test_distance_matrix_at_scale_matches_the_oracle(spec):
-    t = build_truncation(spec)
+    t = Truncation(spec)
     oracle = distance_matrix_oracle(t)
     assert np.array_equal(distance_matrix(t), oracle)
     for r in (t.depth - 1, 1, 0):

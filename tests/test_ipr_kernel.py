@@ -18,8 +18,8 @@ from hieram import (
     GeometricCoupling,
     HierarchySpec,
     PolyGeometricCoupling,
+    Truncation,
     Uniform,
-    build_truncation,
     hamiltonian,
     ipr_profile,
     operators,
@@ -30,7 +30,7 @@ from hieram.operators import cluster_cut, cutoff_dense_block, dense_symmetric_ei
 
 
 def _t(depth):
-    return build_truncation(HierarchySpec.homogeneous(2, depth))
+    return Truncation(HierarchySpec.homogeneous(2, depth))
 
 
 def _eigh_profile(t, seq, omega, r, x=0):
@@ -68,7 +68,7 @@ def couplings(draw):
 @given(data=st.data())
 def test_kernel_iprs_match_eigh(data):
     factors = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = data.draw(couplings())
     dist = data.draw(st.sampled_from([Uniform(0.0, 1.0), Gaussian(0.0, 1.0), Cauchy(0.0, 0.5)]))
     omega = sample_potential(dist, t, data.draw(st.integers(0, 2**32)), 0)
@@ -92,7 +92,8 @@ def test_tied_spectra_take_the_eigh_path_bit_for_bit(index):
     for omega in (tied, zero):
         for r in range(1, t.depth + 1):
             eigenvalues = np.array([e for e, _ in _eigh_profile(t, seq, omega, r)])
-            if greens.eigenvector_iprs(t, seq, omega, eigenvalues, r) is None:
+            q, values, _ = cluster_cut(t, omega, r, 0)
+            if greens.eigenvector_iprs(q, seq, values, eigenvalues) is None:
                 assert ipr_profile(t, seq, omega, r) == _eigh_profile(t, seq, omega, r)
             else:  # a small cluster whose two values differ has no tie
                 assert omega is tied and r < t.depth
@@ -116,13 +117,12 @@ def test_kernel_quantities_against_dense_solves(factors, r):
     # off the spectrum the identity residual |d_r| / ||psi||, the IPR of
     # psi = (H_{r-1} - e)^{-1} phi_Q and that of the inverse-iteration step
     # (H_r - e)^{-1} psi must match dense computations
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = PolyGeometricCoupling(2, 0.5)
     omega = sample_potential(Gaussian(0.0, 1.0), t, 11, 0)
     energies = np.linspace(-2.05, 2.05, 23)
-    iprs, residuals, norms, ok = greens._sweep_grid(
-        greens._ipr_sweep, t, seq, omega, energies, r, 0
-    )
+    cut = cluster_cut(t, omega, r, 0)
+    iprs, residuals, norms, ok = greens._sweep_grid(greens._ipr_sweep, cut, seq, energies, r)
     assert ok.all()
     n_r = t.sizes[r]
     h_below = hamiltonian(t, seq, omega, r - 1).dense()[:n_r, :n_r]
@@ -151,7 +151,8 @@ def test_mixed_vectors_are_repaired():
     omega = sample_potential(Uniform(0.0, 1.0), t, 307, 5)
     values, iprs = _oracle(t, seq, omega, 10)
     eigenvalues = np.linalg.eigvalsh(hamiltonian(t, seq, omega, 10).dense())
-    raw, _, norms, _ = greens._sweep_grid(greens._ipr_sweep, t, seq, omega, eigenvalues, 10, 0)
+    cut = cluster_cut(t, omega, 10, 0)
+    raw, _, norms, _ = greens._sweep_grid(greens._ipr_sweep, cut, seq, eigenvalues, 10)
     unit = np.finfo(float).eps * np.abs(eigenvalues).max()
     mixing = greens._mixing(eigenvalues, norms, unit)
     assert mixing.max() > 1e3 * greens.MIXING_TOL
@@ -159,6 +160,22 @@ def test_mixed_vectors_are_repaired():
     repaired = np.array([v for _, v in ipr_profile(t, seq, omega, 10)])
     assert np.all(repaired[~mixed] == raw[~mixed]) and np.any(repaired[mixed] != raw[mixed])
     assert np.abs(repaired - iprs).max() < 2e-9
+
+
+def test_a_draw_one_repair_step_cannot_fix_takes_the_eigh_path_bit_for_bit(monkeypatch):
+    # with MIXING_TOL at 1e-30, every vector reads as mixed and no single
+    # inverse-iteration step can bring a share that low, so the kernel must
+    # decline the draw rather than repair it
+    t = _t(6)
+    seq = GeometricCoupling(4.0)
+    omega = sample_potential(Uniform(0.0, 1.0), t, 301, 0)
+    kernel = ipr_profile(t, seq, omega, 6)
+    assert kernel != _eigh_profile(t, seq, omega, 6)  # the kernel path ran
+    monkeypatch.setattr(greens, "MIXING_TOL", 1e-30)
+    q, values, _ = cluster_cut(t, omega, 6, 0)
+    eigenvalues = np.array([e for e, _ in kernel])
+    assert greens.eigenvector_iprs(q, seq, values, eigenvalues) is None
+    assert ipr_profile(t, seq, omega, 6) == _eigh_profile(t, seq, omega, 6)
 
 
 def test_heavy_tailed_draw_keeps_the_kernel_through_many_repairs(monkeypatch):
@@ -169,7 +186,8 @@ def test_heavy_tailed_draw_keeps_the_kernel_through_many_repairs(monkeypatch):
     seq = GeometricCoupling(4.0)
     omega = sample_potential(Cauchy(0.0, 0.5), t, 301, 1)
     values, iprs = _oracle(t, seq, omega, 10)
-    raw, _, norms, _ = greens._sweep_grid(greens._ipr_sweep, t, seq, omega, values, 10, 0)
+    cut = cluster_cut(t, omega, 10, 0)
+    raw, _, norms, _ = greens._sweep_grid(greens._ipr_sweep, cut, seq, values, 10)
     unit = np.finfo(float).eps * np.abs(values).max()
     assert np.mean(greens._mixing(values, norms, unit) > greens.MIXING_TOL) > 0.25
     solves = []
@@ -189,7 +207,7 @@ def test_heavy_tailed_draw_keeps_the_kernel_through_many_repairs(monkeypatch):
 def test_fourths_imply_squares():
     # W4_s is formed from the squares of W_s, so asking for fourths alone must
     # give the sums of v_s^4, with v_s = (H_s - e)^{-1} phi_Q the level vector
-    t = build_truncation(HierarchySpec.explicit([3, 2, 2]))
+    t = Truncation(HierarchySpec.explicit([3, 2, 2]))
     seq = GeometricCoupling(3.0)
     omega = sample_potential(Gaussian(0.0, 1.0), t, 5, 0)
     z = np.linspace(-2.1, 2.1, 9)

@@ -18,9 +18,9 @@ from hieram import (
     HierarchySpec,
     PoleProximityError,
     PolyGeometricCoupling,
+    Truncation,
     Uniform,
     build_cascade,
-    build_truncation,
     sample_potential,
 )
 from hieram.greens import POLE_TOL, _level0_ok, cluster_norm_sweep, moment_ladder_sweep
@@ -54,7 +54,7 @@ def couplings(draw):
 @st.composite
 def kernel_cases(draw, dist):
     factors = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
-    t = build_truncation(HierarchySpec.explicit(factors))
+    t = Truncation(HierarchySpec.explicit(factors))
     seq = draw(couplings())
     omega = sample_potential(dist, t, draw(st.integers(0, 2**32)), draw(st.integers(0, 3)))
     # free energies, potential values (level-0 poles), and POLE_TOL off one

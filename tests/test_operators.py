@@ -9,8 +9,8 @@ from hieram import (
     GeometricCoupling,
     HierarchicalOperator,
     HierarchySpec,
+    Truncation,
     averaging,
-    build_truncation,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
     hamiltonian,
@@ -20,7 +20,7 @@ from hieram.operators import compression_dense_block, cutoff_dense_block
 
 
 def _t(degree=2, depth=3):
-    return build_truncation(HierarchySpec.homogeneous(degree, depth))
+    return Truncation(HierarchySpec.homogeneous(degree, depth))
 
 
 def _compression(t, seq):
@@ -85,7 +85,7 @@ def test_hamiltonian_diagonal_entries():
 
 
 def test_dense_matches_apply_on_basis_vectors():
-    t = build_truncation(HierarchySpec.explicit([2, 3, 2]))
+    t = Truncation(HierarchySpec.explicit([2, 3, 2]))
     seq = GeometricCoupling(3.0)
     ops = [
         averaging(t, 2),
@@ -111,7 +111,7 @@ def test_dense_matches_apply_on_basis_vectors():
     ],
 )
 def test_apply_matches_dense_on_random_vectors(spec, seqf):
-    t = build_truncation(spec)
+    t = Truncation(spec)
     seq = seqf()
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(t.site_count)
@@ -166,7 +166,7 @@ def test_cutoff_spectrum_inside_unit_band():
 @pytest.mark.parametrize("degree,rho", [(2, 4.0), (2, 2.0), (3, 4.0)])
 def test_compression_within_tail_of_cutoff(degree, rho):
     # operator-norm gap between compression and cut-off is at most the tail
-    t = build_truncation(HierarchySpec.homogeneous(degree, 4))
+    t = Truncation(HierarchySpec.homogeneous(degree, 4))
     seq = GeometricCoupling(rho)
     gap = compression_dense_block(t, seq, t.depth) - laplacian(t, seq, t.depth).dense()
     norm = np.abs(dense_symmetric_eigensolve(gap).eigenvalues).max()
@@ -257,7 +257,7 @@ def test_compression_block_matches_full_matrix_corner():
 
 def test_general_operator_apply_matches_dense():
     # identity weight, every averaging level, the uniform kernel and a potential
-    t = build_truncation(HierarchySpec.explicit([2, 3, 2]))
+    t = Truncation(HierarchySpec.explicit([2, 3, 2]))
     rng = np.random.default_rng(13)
     op = HierarchicalOperator(
         t, [0.3, 0.2, 0.1, 0.4], tail=0.05, potential=rng.standard_normal(12)

@@ -12,7 +12,7 @@ from hieram import (
     GeometricCoupling,
     HierarchySpec,
     PolyGeometricCoupling,
-    build_truncation,
+    Truncation,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
     finite_volume_dos,
@@ -39,7 +39,7 @@ def cluster_eigenvalues(values, tol):
 
 
 def test_cutoff_multiplicities_degree2():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     seq = GeometricCoupling(4.0)
     atoms = exact_cutoff_spectrum(t, seq, 3)
     assert [m for _, m in atoms] == [4, 2, 1, 1]
@@ -47,13 +47,13 @@ def test_cutoff_multiplicities_degree2():
 
 
 def test_cutoff_multiplicities_degree3():
-    t = build_truncation(HierarchySpec.homogeneous(3, 2))
+    t = Truncation(HierarchySpec.homogeneous(3, 2))
     atoms = exact_cutoff_spectrum(t, GeometricCoupling(2.0), 2)
     assert [m for _, m in atoms] == [6, 2, 1]
 
 
 def test_cutoff_rank0_trivial():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     assert exact_cutoff_spectrum(t, GeometricCoupling(2.0), 0) == [(0.0, 1)]
 
 
@@ -66,7 +66,7 @@ def test_cutoff_rank0_trivial():
     ],
 )
 def test_multiplicities_sum_to_cluster_size(spec):
-    t = build_truncation(spec)
+    t = Truncation(spec)
     seq = GeometricCoupling(3.0)
     for r in range(t.depth + 1):
         atoms = exact_cutoff_spectrum(t, seq, r)
@@ -78,7 +78,7 @@ def test_multiplicities_sum_to_cluster_size(spec):
 @pytest.mark.parametrize("degree", [2, 3])
 @pytest.mark.parametrize("rho", [2.0, 4.0])
 def test_dense_oracle_reproduces_cutoff_spectrum(degree, rho):
-    t = build_truncation(HierarchySpec.homogeneous(degree, 5))
+    t = Truncation(HierarchySpec.homogeneous(degree, 5))
     seq = GeometricCoupling(rho)
     for r in range(t.depth + 1):
         exact = exact_cutoff_spectrum(t, seq, r)
@@ -96,7 +96,7 @@ def test_dense_oracle_reproduces_cutoff_spectrum(degree, rho):
 
 
 def test_restricted_spectrum_shifts_only_the_top():
-    t = build_truncation(HierarchySpec.homogeneous(2, 2))
+    t = Truncation(HierarchySpec.homogeneous(2, 2))
     seq = GeometricCoupling(4.0)
     cut = exact_cutoff_spectrum(t, seq, 2)
     shifted = restricted_full_spectrum(t, seq, 2)
@@ -111,13 +111,13 @@ def test_restricted_spectrum_shifts_only_the_top():
 
 
 def test_restricted_spectrum_zero_tail_is_cutoff():
-    t = build_truncation(HierarchySpec.homogeneous(2, 2))
+    t = Truncation(HierarchySpec.homogeneous(2, 2))
     seq = ExplicitCoupling([0.7, 0.3])
     assert restricted_full_spectrum(t, seq, 2) == exact_cutoff_spectrum(t, seq, 2)
 
 
 def test_restricted_spectrum_stays_within_tail():
-    t = build_truncation(HierarchySpec.homogeneous(3, 3))
+    t = Truncation(HierarchySpec.homogeneous(3, 3))
     seq = GeometricCoupling(2.0)
     cut = exact_cutoff_spectrum(t, seq, 3)
     shifted = restricted_full_spectrum(t, seq, 3)
@@ -161,7 +161,7 @@ def test_limiting_measure_tail_identity():
 
 
 def test_finite_volume_dos_atoms():
-    t = build_truncation(HierarchySpec.homogeneous(2, 3))
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
     seq = GeometricCoupling(4.0)
     nu = finite_volume_dos(t, seq, 3)
     assert nu.mass == 1.0
@@ -172,7 +172,7 @@ def test_finite_volume_dos_atoms():
 
 
 def test_dos_weights_converge_once_tail_clears_gap():
-    t = build_truncation(HierarchySpec.homogeneous(2, 6))
+    t = Truncation(HierarchySpec.homogeneous(2, 6))
     seq = GeometricCoupling(4.0)
     lams = [seq.lam(s) for s in range(8)]
     for s in range(4):
@@ -374,7 +374,7 @@ def test_group_eigenvalues_refuses_a_wrong_table():
 def test_finite_volume_dos_refuses_unresolved_atoms():
     # at rho 64 the top distinct atoms lie 3.6e-15 apart, inside the
     # eigensolver's rounding noise
-    t = build_truncation(HierarchySpec.homogeneous(2, 10))
+    t = Truncation(HierarchySpec.homogeneous(2, 10))
     seq = GeometricCoupling(64.0)
     with pytest.raises(EigenvalueGroupingError):
         finite_volume_dos(t, seq, 10)
@@ -406,7 +406,7 @@ def test_walk_without_tail_warns_nothing():
     ids=["geometric", "polygeometric", "explicit"],
 )
 def test_plan_and_truncation_give_equal_measures_and_walks(plan, seq):
-    t = build_truncation(plan)
+    t = Truncation(plan)
     a, b = limiting_spectral_measure(plan, seq, 12), limiting_spectral_measure(t, seq, 12)
     assert np.array_equal(a.locations, b.locations)
     assert np.array_equal(a.weights, b.weights)
