@@ -12,7 +12,6 @@ from .coupling import (
     check_main_hypothesis,
     check_molchanov_condition,
     fractional_moment_bounds,
-    make_coupling,
 )
 from .diagnostics import (
     BoundCheckReport,

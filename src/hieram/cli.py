@@ -1,25 +1,24 @@
 """Experiment driver: config validation, orchestration and persistence.
 
-One JSON config drives one run.  The seed is mandatory so every output is
-reproducible; a manifest echoing the fully resolved config is written next to
-the data files, and identical configs produce byte-identical data files.
-Floating-point cells are printed with 17 significant digits (round-trip
-exact).  A table is one numpy structured array, one field per column, and is
-formatted a chunk of rows at a time.  All parallelism lives here - the
-library modules stay pure.
+One JSON config drives one run, with a mandatory seed; a manifest echoing the
+resolved config sits next to the data files.  Identical configs give the same
+data bytes at a fixed BLAS build and thread count (at any thread count for the
+subcommands that call no LAPACK; see the README).  Floats are printed with 17
+significant digits.  A table is one numpy structured array, one field per
+column, formatted a chunk of rows at a time.  All parallelism lives here.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import numbers
 import operator
 import os
 import sys
-import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -27,8 +26,6 @@ import numpy as np
 
 from . import __version__, coupling, diagnostics, disorder, greens, operators, spectral
 from .hierarchy import HierarchySpec, Truncation
-
-DISORDER_KINDS = {cls.kind: cls for cls in typing.get_args(disorder.DistributionSpec)}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -53,7 +50,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["family"],
             "properties": {
-                "family": {"enum": ["geometric", "polygeometric", "explicit"]},
+                "family": {"enum": list(coupling.FAMILIES)},
                 "rho": {"type": "number", "exclusiveMinimum": 1},
                 "n": {"type": "integer", "minimum": 2},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
@@ -70,7 +67,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": list(DISORDER_KINDS)},
+                "kind": {"enum": list(disorder.KINDS)},
                 "center": {"type": "number"},
                 "width": {"type": "number", "exclusiveMinimum": 0},
                 "mean": {"type": "number"},
@@ -403,22 +400,28 @@ def resolve_hierarchy(cfg: dict) -> HierarchySpec:
     raise ConfigError("hierarchy: need degree or branching")
 
 
-def resolve_coupling(cfg: dict) -> coupling.CouplingSequence:
-    c = dict(cfg["coupling"])
-    family = c.pop("family")
-    try:
-        return coupling.make_coupling(family, **c)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"coupling: {exc}") from exc
+# section -> (the key that names its class, the classes by that name)
+_SECTIONS = {"coupling": ("family", coupling.FAMILIES), "disorder": ("kind", disorder.KINDS)}
 
 
-def resolve_disorder(cfg: dict) -> disorder.DistributionSpec:
-    d = dict(cfg.get("disorder", {"kind": "uniform", "center": 0.0, "width": 1.0}))
-    kind = d.pop("kind")
+def resolve_section(cfg: dict, section: str):
+    """The class a coupling or disorder section names, called with the other
+    keys, which must be exactly that class's constructor parameters."""
+    selector, classes = _SECTIONS[section]
+    params = dict(cfg[section])
+    name = params.pop(selector)
+    accepted = inspect.signature(classes[name]).parameters
+    where = f"{section}: {selector} {name!r}"
+    foreign = sorted(params.keys() - accepted.keys())
+    if foreign:
+        raise ConfigError(f"{where} takes no key {foreign[0]!r} (it takes {', '.join(accepted)})")
+    for key, param in accepted.items():
+        if param.default is param.empty and key not in params:
+            raise ConfigError(f"{where} needs the key {key!r}")
     try:
-        return DISORDER_KINDS[kind](**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"disorder: {exc}") from exc
+        return classes[name](**params)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def resolve_grid(cfg: dict, dist) -> tuple[float, float, int]:
@@ -428,12 +431,12 @@ def resolve_grid(cfg: dict, dist) -> tuple[float, float, int]:
         if not ("min" in g and "max" in g):
             raise ConfigError("energy_grid: min and max must come together")
         lo, hi = g["min"], g["max"]
-    elif dist.kind == "uniform":  # default: the free band [0, 1] plus the disorder's range
+    elif isinstance(dist, disorder.Uniform):  # default: [0, 1] plus the disorder's range
         lo, hi = dist.center - dist.width / 2, dist.center + 1.0 + dist.width / 2
-    elif dist.kind == "bernoulli":
+    elif isinstance(dist, disorder.Bernoulli):
         lo, hi = min(dist.a, dist.b) - 1.0, max(dist.a, dist.b) + 1.0
     else:  # Gaussian mean or Cauchy location m: [m - 1, m + 2]
-        m = dist.mean if dist.kind == "gaussian" else dist.location
+        m = dist.mean if isinstance(dist, disorder.Gaussian) else dist.location
         lo, hi = m - 1.0, m + 2.0
     if not hi > lo:
         raise ConfigError(f"energy_grid: need max > min, got [{lo}, {hi}]")
@@ -779,8 +782,9 @@ def main(argv=None) -> int:
         t.check_rank(ctx["rank"])
         t.check_site(ctx["site"])
         t.check_site(ctx["target"])
-        ctx["coupling"] = resolve_coupling(config)
-        ctx["disorder"] = resolve_disorder(config)
+        ctx["coupling"] = resolve_section(config, "coupling")
+        default = disorder.Uniform()  # without a disorder section: uniform on [-1/2, 1/2]
+        ctx["disorder"] = resolve_section(config, "disorder") if "disorder" in config else default
         out_dir = Path(config.get("output_dir", "hieram-out"))
         writer = OutputWriter(out_dir, config.get("format", "csv"))
         with ThreadPoolExecutor(max_workers=config.get("threads", os.cpu_count() or 1)) as pool:

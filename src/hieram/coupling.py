@@ -199,25 +199,24 @@ class PolyGeometricCoupling(CouplingSequence):
 class ExplicitCoupling(CouplingSequence):
     """Weights p_1..p_L given directly, plus a declared tail mass beyond L."""
 
-    def __init__(self, weights, tail_mass: float = 0.0):
+    def __init__(self, weights, tail: float = 0.0):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("explicit coupling needs a non-empty weight list")
         if np.any(w <= 0.0):
             raise ValueError("all explicit weights must be positive")
-        if tail_mass < 0.0:
-            raise ValueError(f"tail mass must be >= 0, got {tail_mass}")
-        total = float(w.sum()) + tail_mass
+        if tail < 0.0:
+            raise ValueError(f"tail mass must be >= 0, got {tail}")
+        total = float(w.sum()) + tail
         if abs(total - 1.0) > EXPLICIT_MASS_TOL:
             raise ValueError(
                 f"weights plus tail mass must total 1 within {EXPLICIT_MASS_TOL}, "
                 f"got {total!r}"
             )
         self.weights = w
-        self.tail_mass = float(tail_mass)
+        self.tail_mass = float(tail)
         # suffix[r] = sum_{s>r} p_s + tail mass, accumulated from the small end
-        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]]) + self.tail_mass
-        self._suffix = suffix
+        self._suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]]) + self.tail_mass
 
     @property
     def length(self) -> int:
@@ -243,15 +242,11 @@ class ExplicitCoupling(CouplingSequence):
         return total
 
 
-def make_coupling(family: str, **params) -> CouplingSequence:
-    """Factory keyed by family name, as used by the CLI config."""
-    if family == "geometric":
-        return GeometricCoupling(params["rho"])
-    if family == "polygeometric":
-        return PolyGeometricCoupling(params["n"], params["epsilon"])
-    if family == "explicit":
-        return ExplicitCoupling(params["weights"], params.get("tail", 0.0))
-    raise ValueError(f"unknown coupling family {family!r}")
+FAMILIES = {  # by the name a config's coupling.family gives them
+    "geometric": GeometricCoupling,
+    "polygeometric": PolyGeometricCoupling,
+    "explicit": ExplicitCoupling,
+}
 
 
 @dataclass(frozen=True)

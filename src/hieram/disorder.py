@@ -10,7 +10,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -90,6 +90,7 @@ class Bernoulli:
 
 
 DistributionSpec = Union[Uniform, Gaussian, Cauchy, Bernoulli]
+KINDS = {cls.kind: cls for cls in get_args(DistributionSpec)}  # by disorder.kind
 
 
 @dataclass(frozen=True)

@@ -252,16 +252,21 @@ def test_out_of_range_rank_or_site_leaves_no_output(
             r"hierarchy: depth must match the branching length",
         ),
         ("walk", {"hierarchy": {"depth": 3}}, r"hierarchy: need degree or branching"),
-        ("walk", {"coupling": {"family": "geometric"}}, r"coupling: 'rho'"),
+        (
+            "walk",
+            {"coupling": {"family": "geometric"}},
+            r"coupling: family 'geometric' needs the key 'rho'",
+        ),
         (
             "walk",
             {"coupling": {"family": "explicit", "weights": [0.5, 0.75]}},
-            r"coupling: weights plus tail mass must total 1 within 1e-12, got 1\.25",
+            r"coupling: family 'explicit': "
+            r"weights plus tail mass must total 1 within 1e-12, got 1\.25",
         ),
         (
             "moments",
             {"disorder": {"kind": "uniform", "mean": 0.0}},
-            r"disorder: (Uniform\.)?__init__\(\) got an unexpected keyword argument 'mean'",
+            r"disorder: kind 'uniform' takes no key 'mean' \(it takes center, width\)",
         ),
         (
             "moments",
@@ -275,6 +280,32 @@ def test_out_of_range_rank_or_site_leaves_no_output(
         ),
         ("moments", {"ranks": [0, 5]}, r"ranks must not exceed the depth 4"),
         ("dimension", {"fit_window": [5, 5]}, r"fit_window must be increasing, got \[5, 5\]"),
+        (
+            "walk",
+            {"coupling": {"family": "geometric", "rho": 4.0, "weights": [0.5, 0.5]}},
+            r"coupling: family 'geometric' takes no key 'weights' \(it takes rho\)",
+        ),
+        (
+            "walk",
+            {"coupling": {"family": "geometric", "rho": 4.0, "tail": 0.25}},
+            r"coupling: family 'geometric' takes no key 'tail' \(it takes rho\)",
+        ),
+        (
+            "walk",
+            {"coupling": {"family": "explicit", "weights": [0.5, 0.5], "rho": 9.0}},
+            r"coupling: family 'explicit' takes no key 'rho' \(it takes weights, tail\)",
+        ),
+        (
+            "moments",
+            {"disorder": {"kind": "bernoulli", "a": 0.0}},
+            r"disorder: kind 'bernoulli' needs the key 'b'",
+        ),
+        (
+            "walk",
+            {"coupling": {"family": "nonsense"}},
+            r"config schema violation: 'nonsense' is not one of "
+            r"\['geometric', 'polygeometric', 'explicit'\]",
+        ),
     ],
 )
 def test_resolver_refusals_exit_2_and_leave_no_output(tmp_path, capsys, subcommand, extra, detail):
@@ -283,6 +314,53 @@ def test_resolver_refusals_exit_2_and_leave_no_output(tmp_path, capsys, subcomma
     assert main([subcommand, "--config", config, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and re.fullmatch(detail, err["detail"]), err
+    assert not out.exists()
+
+
+# each family and kind with exactly its own keys, written out here rather than
+# read off the constructors
+SECTION_KEYS = {
+    ("coupling", "family"): {
+        "geometric": {"rho": 4.0},
+        "polygeometric": {"n": 2, "epsilon": 0.3},
+        "explicit": {"weights": [0.5, 0.25], "tail": 0.25},
+    },
+    ("disorder", "kind"): {
+        "uniform": {"center": 0.0, "width": 1.0},
+        "gaussian": {"mean": 0.0, "sigma": 1.0},
+        "cauchy": {"location": 0.0, "scale": 1.0},
+        "bernoulli": {"a": 0.0, "b": 1.0, "q": 0.5},
+    },
+}
+SECTION_CASES = [
+    (section, selector, name, key)
+    for (section, selector), members in SECTION_KEYS.items()
+    for name, own in members.items()
+    for key in [None, *sorted({k for m in members.values() for k in m} - own.keys())]
+]
+
+
+@pytest.mark.parametrize(
+    "section,selector,name,key", SECTION_CASES, ids=lambda v: "own" if v is None else v
+)
+def test_each_family_and_kind_takes_exactly_its_own_keys(
+    tmp_path, capsys, section, selector, name, key
+):
+    members = SECTION_KEYS[section, selector]
+    params = {selector: name, **members[name]}
+    if key is not None:  # the value another family or kind gives it
+        params[key] = next(m[key] for m in members.values() if key in m)
+    cfg = base_config(energy_grid={"min": -0.5, "max": 1.5, "points": 5}, **{section: params})
+    out = tmp_path / "o"
+    subcommand = "walk" if section == "coupling" else "moments"
+    code = main([subcommand, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    if key is None:
+        assert code == 0 and (out / "manifest.json").exists()
+        return
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["detail"].startswith(f"{section}: {selector} {name!r} takes no key {key!r} ")
     assert not out.exists()
 
 
@@ -304,7 +382,7 @@ def test_resolver_refusals_exit_2_and_leave_no_output(tmp_path, capsys, subcomma
 )
 def test_default_grid_follows_the_disorder(disorder, window):
     cfg = base_config(disorder=disorder)
-    assert cli.resolve_grid(cfg, cli.resolve_disorder(cfg)) == (*window, 2001)
+    assert cli.resolve_grid(cfg, cli.resolve_section(cfg, "disorder")) == (*window, 2001)
 
 
 def test_default_grid_covers_a_shifted_spectrum(tmp_path):
@@ -468,8 +546,8 @@ def _cut_lattice_config(**extra):
 
 def _dense_h(cfg, r):
     t = Truncation(cli.resolve_hierarchy(cfg))
-    omega = disorder.sample_potential(cli.resolve_disorder(cfg), t, cfg["seed"], 0)
-    return hamiltonian(t, cli.resolve_coupling(cfg), omega, r).dense(), omega.values
+    omega = disorder.sample_potential(cli.resolve_section(cfg, "disorder"), t, cfg["seed"], 0)
+    return hamiltonian(t, cli.resolve_section(cfg, "coupling"), omega, r).dense(), omega.values
 
 
 def test_localize_iprs_are_on_the_cluster_of_the_site(tmp_path):
@@ -795,7 +873,7 @@ def test_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, hierarchy, c
     out = tmp_path / "out"
     assert main([subcommand, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     t = Truncation(cli.resolve_hierarchy(cfg))
-    seq = cli.resolve_coupling(cfg)
+    seq = cli.resolve_section(cfg, "coupling")
     r = t.depth
     atoms = (restricted_full_spectrum if tail else exact_cutoff_spectrum)(t, seq, r)
     block = (compression_dense_block if tail else cutoff_dense_block)(t, seq, r)
@@ -1091,6 +1169,46 @@ def test_cli_runs_without_importing_jsonschema(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+BLAS_FREE_SUBCOMMANDS = ["moments", "bound", "green", "walk", "hypothesis", "dimension"]
+
+
+def test_blas_free_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # these six make no LAPACK call on a data path, so every file they write
+    # must be the same bytes under one and two OpenBLAS threads; the variable
+    # is read when numpy loads, so each count gets its own interpreter
+    cfg = base_config(
+        hierarchy={"degree": 2, "depth": 6},
+        energy_grid={"min": -0.5, "max": 1.5, "points": 101},
+        realizations=2,
+    )
+    config = write_config(tmp_path, cfg)
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    outs = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"blas{threads}"
+        code = (
+            "from hieram.cli import main\n"
+            f"for sub in {BLAS_FREE_SUBCOMMANDS!r}:\n"
+            f"    assert main([sub, '--config', {config!r}, '--out', {str(root)!r} + '/' + sub]) == 0\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, paths)),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outs[threads] = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+        }
+    assert {name.split("/")[0] for name in outs["1"]} == set(BLAS_FREE_SUBCOMMANDS)
+    assert outs["1"].keys() == outs["2"].keys()
+    for name, data in outs["1"].items():
+        assert data == outs["2"][name], name
 
 
 # --- the config walker against jsonschema, its oracle ----------------------

@@ -14,7 +14,6 @@ from hieram import (
     check_main_hypothesis,
     check_molchanov_condition,
     fractional_moment_bounds,
-    make_coupling,
 )
 from hieram.coupling import (
     CONVERGES_ANALYTIC,
@@ -58,8 +57,6 @@ def test_coupling_validation():
         PolyGeometricCoupling(1, 0.3)
     with pytest.raises(ValueError):
         PolyGeometricCoupling(2, 0.0)
-    with pytest.raises(ValueError):
-        make_coupling("nonsense")
 
 
 def test_polygeometric_normalizes_to_unit_mass():
