@@ -3,7 +3,7 @@
 One JSON config drives one run, with a mandatory seed; a manifest echoing the
 resolved config sits next to the data files.  Identical configs give the same
 data bytes at a fixed BLAS build and thread count (at any thread count for the
-subcommands that call no LAPACK; see the README).  Floats are printed with 17
+subcommands that take no number from LAPACK; see the README).  Floats have 17
 significant digits.  A table is one numpy structured array, one field per
 column, formatted a chunk of rows at a time.  All parallelism lives here.
 """
@@ -458,17 +458,10 @@ def resolve_ranks(cfg: dict, depth: int) -> list[int]:
 
 
 def run_spectrum(ctx, writer: OutputWriter) -> dict:
-    t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    r, cap = ctx["rank"], ctx["dense_cap"]
-    include_tail = cfg.get("include_tail", True)
-    if include_tail:
-        exact = spectral.restricted_full_spectrum(t, seq, r)
-        block = operators.compression_dense_block(t, seq, r, cap)
-    else:
-        exact = spectral.exact_cutoff_spectrum(t, seq, r)
-        block = operators.cutoff_dense_block(t, seq, r, cap)
-    dense_values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
-    dense = spectral.group_eigenvalues(dense_values, exact)
+    r, include_tail = ctx["rank"], ctx["config"].get("include_tail", True)
+    exact, dense = spectral.dense_control(
+        ctx["trunc"], ctx["coupling"], r, ctx["dense_cap"], include_tail
+    )
     locations, mults = zip(*exact, *dense)
     source = np.repeat(["exact", "dense"], [len(exact), len(dense)])
     header = ["location", "multiplicity", "source"]
@@ -490,14 +483,10 @@ def run_dos(ctx, writer: OutputWriter) -> dict:
 
 def run_dimension(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    if t.degree is None or not isinstance(seq, coupling.GeometricCoupling):
-        raise ConfigError(
-            "dimension needs a homogeneous hierarchy and a geometric coupling"
-        )
+    analytic = spectral.spectral_dimension(seq, t.degree)
     r_lo, r_hi = cfg.get("fit_window", [5, 20])
     if not 0 <= r_lo < r_hi:
         raise ConfigError(f"fit_window must be increasing, got [{r_lo}, {r_hi}]")
-    analytic = spectral.spectral_dimension(seq, t.degree)
     measure = spectral.limiting_spectral_measure(t, seq, r_hi + 5)
     # the measure's tails are seq.tail itself, so both window ends are atoms
     fitted = spectral.fit_spectral_dimension(measure, seq.tail(r_hi), seq.tail(r_lo))
@@ -673,10 +662,7 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
     threshold = cfg.get("threshold")
     if threshold is None:
         u = coupling.PowerSequence(cfg.get("u_exponent", 2.0))
-        try:
-            threshold = (u(r) * t.sizes[r]) ** 2
-        except OverflowError:  # u_r is finite, its square is not
-            threshold = math.inf
+        threshold = diagnostics.exceedance_threshold(u, t, r)
         if not 0 < threshold < math.inf:  # u_0 = 0, or past the float range
             hint = "use a rank >= 1" if r == 0 else "lower u_exponent"
             raise ConfigError(

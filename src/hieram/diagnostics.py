@@ -74,6 +74,15 @@ def measure_bound_check(
     )
 
 
+def exceedance_threshold(u: PowerSequence, t: Truncation, r: int) -> float:
+    """M_r = (u_r N_r)^2 as the correctly rounded x * x; inf past the float range."""
+    try:
+        x = u(r) * t.size(r)
+    except OverflowError:  # N_r beyond the float range
+        return math.inf
+    return x * x
+
+
 @dataclass(frozen=True)
 class SummabilityLedger:
     """The two series the localization argument needs, via M_r = (u_r N_r)^2.
@@ -103,23 +112,14 @@ def borel_cantelli_profile(
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     rs = np.arange(1, r_max + 1)
-    sizes, n_r = np.empty(r_max), 1
-    for k, r in enumerate(rs.tolist()):
-        n_r *= t.factor(r)
-        try:
-            sizes[k] = n_r
-        except OverflowError:  # N_r beyond the float range
-            sizes[k] = math.inf
     u_vals = np.array([u(r) for r in rs])
-    with np.errstate(over="ignore"):
-        thresholds = (u_vals * sizes) ** 2
     # 1/u_r, as exp(-log u_r) where u_r passes the float range (maybe subnormal)
     past = np.isinf(u_vals)
     coverage = np.where(past, [math.exp(-u.log(r)) for r in rs], 1.0 / u_vals)
     hypothesis = np.array(main_hypothesis_terms(seq, t, u, r_max))
     return SummabilityLedger(
         r_values=rs,
-        thresholds=thresholds,
+        thresholds=np.array([exceedance_threshold(u, t, r) for r in rs.tolist()]),
         bound_terms=np.where(past, 4.0 * coverage, 4.0 / u_vals),
         coverage_terms=coverage,
         coverage_sums=np.cumsum(coverage),

@@ -136,26 +136,38 @@ def group_eigenvalues(
     return groups
 
 
+def dense_control(
+    t: Truncation, seq: CouplingSequence, r: int, cap: int = operators.DENSE_CAP, include_tail=True
+) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
+    """(exact atoms, dense groups) of the compression onto the rank-r cluster,
+    or of the cut-off Laplacian there without the tail: the closed-form atoms,
+    and a values-only dense solve of the same block grouped against them."""
+    if include_tail:
+        exact = restricted_full_spectrum(t, seq, r)
+        block = operators.compression_dense_block(t, seq, r, cap)
+    else:
+        exact = exact_cutoff_spectrum(t, seq, r)
+        block = operators.cutoff_dense_block(t, seq, r, cap)
+    values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
+    return exact, group_eigenvalues(values, exact)
+
+
 def finite_volume_dos(
     t: Truncation, seq: CouplingSequence, r: int, cap: int = operators.DENSE_CAP
 ) -> SpectralMeasure:
-    """Eigenvalue counting measure of the compression onto the rank-r cluster.
-
-    Computed from a values-only dense eigensolve; every eigenvalue carries
-    weight 1/N_r and the eigenvalues of each exact atom coalesce into one atom.
-    """
-    block = operators.compression_dense_block(t, seq, r, cap)
-    values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
-    groups = group_eigenvalues(values, restricted_full_spectrum(t, seq, r))
-    locations = np.array([loc for loc, _ in groups])
-    weights = np.array([mult / t.sizes[r] for _, mult in groups])
+    """Eigenvalue counting measure of the compression onto the rank-r cluster:
+    the distinct restricted_full_spectrum atoms at weight mult / N_r, once
+    dense_control has matched them with the dense eigenvalues."""
+    exact, dense = dense_control(t, seq, r, cap)
+    locations = np.unique([loc for loc, _ in exact])  # the merged atoms
+    weights = np.array([mult / t.sizes[r] for _, mult in dense])
     return SpectralMeasure(locations, weights, 1.0, 1.0 - locations)
 
 
-def spectral_dimension(seq: GeometricCoupling, degree: int) -> float:
-    """Edge-scaling exponent 2 log n / log rho for geometric couplings."""
-    if not isinstance(seq, GeometricCoupling):
-        raise TypeError("analytic spectral dimension needs a geometric coupling")
+def spectral_dimension(seq: CouplingSequence, degree: int | None) -> float:
+    """2 log n / log rho for a geometric coupling at degree n (None: inhomogeneous)."""
+    if degree is None or not isinstance(seq, GeometricCoupling):
+        raise ValueError("dimension needs a homogeneous hierarchy and a geometric coupling")
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
     return 2.0 * math.log(degree) / math.log(seq.rho)
@@ -168,7 +180,7 @@ def fit_spectral_dimension(
 
     Samples the cumulative mass of [1-t, 1] exactly at the jump points
     t = 1 - lambda_r inside [t_min, t_max], read from measure.tails; twice the
-    log-log slope estimates the spectral dimension.
+    log-log slope (a ratio of two centred sums) estimates the dimension.
     """
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
@@ -180,8 +192,9 @@ def fit_spectral_dimension(
         raise ValueError(
             f"need at least 3 atoms in the fit window, found {int(keep.sum())}"
         )
-    slope = np.polyfit(np.log(t_vals[keep]), np.log(suffix[keep]), 1)[0]
-    return 2.0 * float(slope)
+    x, y = np.log(t_vals[keep]), np.log(suffix[keep])
+    x -= x.mean()
+    return 2.0 * float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hieram import (
     Bernoulli,
     GeometricCoupling,
     HierarchySpec,
+    PowerSequence,
     Truncation,
     cli,
     diagnostics,
@@ -26,7 +27,9 @@ from hieram import (
     group_eigenvalues,
     hamiltonian,
     localization_sweep,
+    operators,
     restricted_full_spectrum,
+    spectral,
 )
 from hieram.cli import CONFIG_SCHEMA, OutputWriter, columns, main
 from hieram.operators import compression_dense_block, cutoff_dense_block
@@ -158,6 +161,24 @@ def test_bound_refuses_a_default_threshold_past_the_float_range(tmp_path, capsys
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and "threshold" in err["detail"]
     assert not out.exists()
+
+
+def test_bound_default_threshold_is_the_ledger_threshold(tmp_path):
+    # (u_3 N_3)^2 at u_exponent 6.16: x ** 2 reads one ulp above x * x, the
+    # correctly rounded square the ledger forms
+    t = Truncation(HierarchySpec.homogeneous(2, 3))
+    u = PowerSequence(6.16)
+    ledger = diagnostics.borel_cantelli_profile(GeometricCoupling(4.0), t, u, 3)
+    x = u(3) * 8
+    assert ledger.thresholds[2] == x * x != x**2
+    extra = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}, "u_exponent": 6.16}
+    config = write_config(tmp_path, base_config(hierarchy={"degree": 2, "depth": 3}, **extra))
+    out = tmp_path / "o"
+    assert main(["bound", "--config", config, "--out", str(out)]) == 0
+    with open(out / "bound.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["M"]) == ledger.thresholds[2]
+    assert json.loads((out / "summary.json").read_text())["threshold"] == x * x
 
 
 def test_config_threads_key_does_not_change_bytes(tmp_path):
@@ -415,11 +436,15 @@ def test_dense_cap_breach_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_dimension_requires_geometric(tmp_path):
+def test_dimension_requires_geometric(tmp_path, capsys):
     cfg = base_config()
     cfg["coupling"] = {"family": "explicit", "weights": [0.5, 0.5]}
     config = write_config(tmp_path, cfg)
     assert main(["dimension", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "detail": "dimension needs a homogeneous hierarchy and a geometric coupling",
+    }
 
 
 def test_dimension_output_value(tmp_path):
@@ -428,7 +453,9 @@ def test_dimension_output_value(tmp_path):
     assert main(["dimension", "--config", config, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["analytic"] == 1.0
-    assert abs(summary["fitted"] - 1.0) < 0.05
+    # at degree 2, rho 4 the sampled points lie on the line of slope 1/2:
+    # the closed-form slope reads it exactly
+    assert summary["fitted"] == 1.0
 
 
 def test_walk_transient_output_value(tmp_path):
@@ -840,6 +867,46 @@ def test_unresolved_atoms_exit_3(tmp_path, capsys, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "hierarchy,coupling",
+    [
+        ({"degree": 2, "depth": 10}, {"family": "geometric", "rho": 4.0}),
+        ({"degree": 2, "depth": 4}, {"family": "explicit", "weights": [0.5, 0.5]}),
+    ],
+)
+def test_dos_nu_rows_are_the_closed_form_atoms(tmp_path, hierarchy, coupling):
+    cfg = base_config(hierarchy=hierarchy, coupling=coupling)
+    out = tmp_path / "out"
+    assert main(["dos", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    t = Truncation(cli.resolve_hierarchy(cfg))
+    exact = _merged(restricted_full_spectrum(t, cli.resolve_section(cfg, "coupling"), t.depth))
+    with open(out / "dos.csv", newline="") as fh:
+        nu = [row for row in csv.DictReader(fh) if row["source"] == "nu"]
+    assert [(float(row["location"]), float(row["weight"])) for row in nu] == [
+        (loc, mult / t.site_count) for loc, mult in exact
+    ]
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
+def test_one_values_only_solve_through_the_dense_control(tmp_path, monkeypatch, subcommand):
+    solves, controls = [], []
+    solve, control = operators.dense_symmetric_eigensolve, spectral.dense_control
+
+    def counted_solve(a, vectors=True):
+        solves.append(vectors)
+        return solve(a, vectors)
+
+    def counted_control(*args, **kwargs):
+        controls.append(args)
+        return control(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "dense_symmetric_eigensolve", counted_solve)
+    monkeypatch.setattr(spectral, "dense_control", counted_control)
+    config = write_config(tmp_path, base_config())
+    assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert solves == [False] and len(controls) == 1
+
+
 def _merged(atoms):
     """Exact atoms with equal locations summed into one, as the dense rows are."""
     out = []
@@ -1171,19 +1238,22 @@ def test_cli_runs_without_importing_jsonschema(tmp_path):
     assert run.stdout == "[]\n"
 
 
-BLAS_FREE_SUBCOMMANDS = ["moments", "bound", "green", "walk", "hypothesis", "dimension"]
+BLAS_FREE_SUBCOMMANDS = ["moments", "bound", "green", "walk", "hypothesis", "dimension", "dos"]
 
 
 def test_blas_free_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # these six make no LAPACK call on a data path, so every file they write
+    # these make no LAPACK call on a data path (dos checks its atoms against
+    # a dense solve but writes the closed form), so every file they write
     # must be the same bytes under one and two OpenBLAS threads; the variable
-    # is read when numpy loads, so each count gets its own interpreter
+    # is read when numpy loads, so each count gets its own interpreter.  dos
+    # runs at depth 10, where its dense eigenvalues do depend on the count
     cfg = base_config(
         hierarchy={"degree": 2, "depth": 6},
         energy_grid={"min": -0.5, "max": 1.5, "points": 101},
         realizations=2,
     )
     config = write_config(tmp_path, cfg)
+    dos_config = write_config(tmp_path, _dense_cfg(4.0), name="dos.json")
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     outs = {}
     for threads in ("1", "2"):
@@ -1191,7 +1261,8 @@ def test_blas_free_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         code = (
             "from hieram.cli import main\n"
             f"for sub in {BLAS_FREE_SUBCOMMANDS!r}:\n"
-            f"    assert main([sub, '--config', {config!r}, '--out', {str(root)!r} + '/' + sub]) == 0\n"
+            f"    cfg = {dos_config!r} if sub == 'dos' else {config!r}\n"
+            f"    assert main([sub, '--config', cfg, '--out', {str(root)!r} + '/' + sub]) == 0\n"
         )
         env = dict(
             os.environ,

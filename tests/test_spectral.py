@@ -12,6 +12,7 @@ from hieram import (
     GeometricCoupling,
     HierarchySpec,
     PolyGeometricCoupling,
+    SpectralMeasure,
     Truncation,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
@@ -192,8 +193,10 @@ def test_spectral_dimension_analytic_values():
     assert spectral_dimension(GeometricCoupling(4.0), 2) == pytest.approx(1.0)
     assert spectral_dimension(GeometricCoupling(2.0), 2) == pytest.approx(2.0)
     assert spectral_dimension(GeometricCoupling(2.0), 4) == pytest.approx(4.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="geometric coupling"):
         spectral_dimension(ExplicitCoupling([1.0]), 2)
+    with pytest.raises(ValueError, match="homogeneous hierarchy"):
+        spectral_dimension(GeometricCoupling(4.0), None)
 
 
 @pytest.mark.parametrize("degree,rho,d", [(2, 4.0, 1.0), (2, 2.0, 2.0), (4, 2.0, 4.0)])
@@ -211,17 +214,22 @@ def test_fitted_dimension_matches_analytic(degree, rho, d):
 def test_fit_window_keeps_its_top_atom(rho):
     # 1 - lambda_20 is off seq.tail(20) by 4.5e-12, 1.4e-9 and 6.8e-5
     # relative at these rho, more than the 1e-12 nudge of the window: the fit
-    # must still take the rank-20 atom
+    # must still take the rank-20 atom.  The weights are bent off the power
+    # law, since on the exact one every sub-window has the same slope
     spec = HierarchySpec.homogeneous(2, 3)
     seq = GeometricCoupling(rho)
-    measure = limiting_spectral_measure(spec, seq, 25)
+    exact = limiting_spectral_measure(spec, seq, 25)
+    bend = np.linspace(1.0, 0.5, exact.weights.size)
+    measure = SpectralMeasure(exact.locations, exact.weights * bend, exact.mass, exact.tails)
     fitted = fit_spectral_dimension(
         measure, seq.tail(20) * (1 - 1e-12), seq.tail(5) * (1 + 1e-12)
     )
     ranks = np.arange(5, 21)
     suffix = 1.0 - np.concatenate([[0.0], np.cumsum(measure.weights)[:-1]])
     tails = np.array([seq.tail(r) for r in ranks])
-    assert fitted == 2.0 * np.polyfit(np.log(tails), np.log(suffix[ranks]), 1)[0]
+    # the closed-form slope against numpy's least-squares fit
+    reference = 2.0 * np.polyfit(np.log(tails), np.log(suffix[ranks]), 1)[0]
+    assert fitted == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 def test_fit_requires_three_atoms():
