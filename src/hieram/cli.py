@@ -51,15 +51,11 @@ CONFIG_SCHEMA = {
             "required": ["family"],
             "properties": {
                 "family": {"enum": list(coupling.FAMILIES)},
-                "rho": {"type": "number", "exclusiveMinimum": 1},
-                "n": {"type": "integer", "minimum": 2},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "weights": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "tail": {"type": "number", "minimum": 0},
+                "rho": {"type": "number"},
+                "n": {"type": "integer"},
+                "epsilon": {"type": "number"},
+                "weights": {"type": "array", "items": {"type": "number"}},
+                "tail": {"type": "number"},
             },
         },
         "disorder": {
@@ -69,14 +65,14 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": list(disorder.KINDS)},
                 "center": {"type": "number"},
-                "width": {"type": "number", "exclusiveMinimum": 0},
+                "width": {"type": "number"},
                 "mean": {"type": "number"},
-                "sigma": {"type": "number", "exclusiveMinimum": 0},
+                "sigma": {"type": "number"},
                 "location": {"type": "number"},
-                "scale": {"type": "number", "exclusiveMinimum": 0},
+                "scale": {"type": "number"},
                 "a": {"type": "number"},
                 "b": {"type": "number"},
-                "q": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "q": {"type": "number"},
             },
         },
         "energy_grid": {
@@ -117,7 +113,6 @@ CONFIG_SCHEMA = {
         },
         "include_tail": {"type": "boolean"},
         "save_potentials": {"type": "boolean"},
-        "dense_cap": {"type": "integer", "minimum": 1},
         "output_dir": {"type": "string"},
         "format": {"enum": ["csv", "json"]},
         "threads": {"type": "integer", "minimum": 1},
@@ -459,9 +454,7 @@ def resolve_ranks(cfg: dict, depth: int) -> list[int]:
 
 def run_spectrum(ctx, writer: OutputWriter) -> dict:
     r, include_tail = ctx["rank"], ctx["config"].get("include_tail", True)
-    exact, dense = spectral.dense_control(
-        ctx["trunc"], ctx["coupling"], r, ctx["dense_cap"], include_tail
-    )
+    exact, dense = spectral.dense_control(ctx["trunc"], ctx["coupling"], r, include_tail)
     locations, mults = zip(*exact, *dense)
     source = np.repeat(["exact", "dense"], [len(exact), len(dense)])
     header = ["location", "multiplicity", "source"]
@@ -472,7 +465,7 @@ def run_spectrum(ctx, writer: OutputWriter) -> dict:
 def run_dos(ctx, writer: OutputWriter) -> dict:
     t, seq, r = ctx["trunc"], ctx["coupling"], ctx["rank"]
     r_max = ctx["config"].get("r_max", max(r, 1))
-    nu = spectral.finite_volume_dos(t, seq, r, ctx["dense_cap"])
+    nu = spectral.finite_volume_dos(t, seq, r)
     mu = spectral.limiting_spectral_measure(t, seq, r_max)
     locations, weights = zip(*nu.atoms, *mu.atoms)
     source = np.repeat(["nu", "mu"], [len(nu.atoms), len(mu.atoms)])
@@ -606,7 +599,6 @@ def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
         ranks,
         ctx["site"],
         ipr_rank=ranks[-1] if ipr else None,
-        cap=ctx["dense_cap"],
         map_fn=ctx["map_fn"],
     )
     if not report.ok.any():
@@ -763,7 +755,6 @@ def main(argv=None) -> int:
             "rank": config.get("rank", t.depth),
             "site": config.get("site", 0),
             "target": config.get("target", 0),
-            "dense_cap": config.get("dense_cap", operators.DENSE_CAP),
         }
         t.check_rank(ctx["rank"])
         t.check_site(ctx["site"])

@@ -301,7 +301,8 @@ def _series(condition, terms, seq, ratio, poly_exponent) -> HypothesisReport:
     Its verdict is analytic if the ratio is known, else INCONCLUSIVE if mass
     lies past the last term while its p_r = 0, else the numeric heuristic."""
     terms = np.asarray(terms, dtype=float)
-    sums = np.cumsum(terms)
+    with np.errstate(over="ignore"):  # a partial sum past the float range reads inf
+        sums = np.cumsum(terms)
     r_max, completion = len(terms), 0.0
     if not math.isnan(ratio):
         verdict = _analytic_verdict(ratio, poly_exponent)

@@ -117,14 +117,16 @@ def borel_cantelli_profile(
     past = np.isinf(u_vals)
     coverage = np.where(past, [math.exp(-u.log(r)) for r in rs], 1.0 / u_vals)
     hypothesis = np.array(main_hypothesis_terms(seq, t, u, r_max))
+    with np.errstate(over="ignore"):  # a partial sum past the float range reads inf
+        coverage_sums, hypothesis_sums = np.cumsum(coverage), np.cumsum(hypothesis)
     return SummabilityLedger(
         r_values=rs,
         thresholds=np.array([exceedance_threshold(u, t, r) for r in rs.tolist()]),
         bound_terms=np.where(past, 4.0 * coverage, 4.0 / u_vals),
         coverage_terms=coverage,
-        coverage_sums=np.cumsum(coverage),
+        coverage_sums=coverage_sums,
         hypothesis_terms=hypothesis,
-        hypothesis_sums=np.cumsum(hypothesis),
+        hypothesis_sums=hypothesis_sums,
     )
 
 
@@ -133,7 +135,6 @@ def ipr_profile(
     seq: CouplingSequence,
     omega,
     r: int,
-    cap: int = operators.DENSE_CAP,
     x: int = 0,
 ) -> list[tuple[float, float]]:
     """(eigenvalue, inverse participation ratio) pairs at finite volume.
@@ -147,7 +148,7 @@ def ipr_profile(
     eigh.
     """
     q, values, _ = operators.cluster_cut(t, omega, r, x)
-    block = operators.cutoff_dense_block(q, seq, r, cap)
+    block = operators.cutoff_dense_block(q, seq, r)
     block[np.diag_indices(q.site_count)] += values
     eigenvalues = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
     iprs = greens.eigenvector_iprs(q, seq, values, eigenvalues)
@@ -194,7 +195,6 @@ def localization_sweep(
     ranks,
     site: int = 0,
     ipr_rank: int | None = None,
-    cap: int = operators.DENSE_CAP,
     map_fn=map,
 ) -> LocalizationReport:
     """Moment-ladder and IPR sweep across disorder realizations.
@@ -220,7 +220,7 @@ def localization_sweep(
     if ipr_rank is not None:  # fail the IPR cap before any draw or sweep
         ipr_rank = int(ipr_rank)
         t.check_rank(ipr_rank)
-        operators.check_cap(t.sizes[ipr_rank], cap)
+        operators.check_cap(t.sizes[ipr_rank])
     energies = np.linspace(e_min, e_max, points)
     potentials = tuple(sample_potential(dist, t, seed, i) for i in range(realizations))
 
@@ -239,7 +239,7 @@ def localization_sweep(
 
     ipr = {}
     if ipr_rank is not None:
-        profiles = [ipr_profile(t, seq, omega, ipr_rank, cap, site) for omega in potentials]
+        profiles = [ipr_profile(t, seq, omega, ipr_rank, site) for omega in potentials]
         eigs, iprs = np.moveaxis(np.array(profiles), -1, 0)
         n_r = t.sizes[ipr_rank]
         lo = int(MID_SPECTRUM_WINDOW[0] * n_r)

@@ -8,6 +8,7 @@ scans are blocked, which keeps the operator kernels cache friendly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,11 +74,10 @@ class HierarchySpec:
         raise ValueError("cannot extend a depth-0 explicit branching plan")
 
     def size(self, r: int) -> int:
-        """Cluster size N_r = prod_{s<=r} n_s as an exact integer."""
-        n = 1
-        for s in range(1, r + 1):
-            n *= self.factor(s)
-        return n
+        """Cluster size N_r = prod_{s<=r} n_s as an exact integer; past the
+        depth the factor is constant, so N_r = N_depth n^(r - depth)."""
+        n = math.prod(self.factors[: max(r, 0)])
+        return n if r <= self.depth else n * self.factor(r) ** (r - self.depth)
 
 
 class Truncation:

@@ -44,9 +44,9 @@ def _as_state(t: Truncation, psi) -> np.ndarray:
     return psi.astype(dtype, copy=False)
 
 
-def check_cap(n: int, cap: int):
-    if n > cap:
-        raise DenseCapError(f"dense size {n} exceeds cap {cap}")
+def check_cap(n: int):
+    if n > DENSE_CAP:
+        raise DenseCapError(f"dense size {n} exceeds cap {DENSE_CAP}")
 
 
 def potential_values(t: Truncation, omega) -> np.ndarray:
@@ -92,13 +92,13 @@ class HierarchicalOperator:
             acc = acc + self.potential * psi
         return acc + self.tail * psi.sum()
 
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """The matrix via the distance kernel.
 
         Entry (x, y) is K[d(x, y)] with K[d] = sum_{s=d}^{R} w_s / N_s + tau.
         """
         t = self.trunc
-        check_cap(t.site_count, cap)
+        check_cap(t.site_count)
         per_site = self.weights / np.array(t.sizes[: self.rank + 1])
         k = np.zeros(t.depth + 1)
         k[: self.rank + 1] = np.cumsum(per_site[::-1])[::-1]
@@ -138,20 +138,16 @@ def cluster_cut(t: Truncation, omega, r: int, x: int):
     return t.cluster_lattice(r), values, x - sites.start
 
 
-def cutoff_dense_block(
-    t: Truncation, seq: CouplingSequence, r: int, cap: int = DENSE_CAP
-) -> np.ndarray:
+def cutoff_dense_block(t: Truncation, seq: CouplingSequence, r: int) -> np.ndarray:
     """Dense rank-r cut-off Laplacian on a rank-r cluster (all share it)."""
-    return laplacian(t.cluster_lattice(r), seq, r).dense(cap)
+    return laplacian(t.cluster_lattice(r), seq, r).dense()
 
 
-def compression_dense_block(
-    t: Truncation, seq: CouplingSequence, r: int, cap: int = DENSE_CAP
-) -> np.ndarray:
+def compression_dense_block(t: Truncation, seq: CouplingSequence, r: int) -> np.ndarray:
     """Dense compression of the full Laplacian (tail: t's plan) onto a rank-r cluster."""
     q = t.cluster_lattice(r)
     op = HierarchicalOperator(q, laplacian(q, seq, r).weights, seq.weighted_tail(r, t))
-    return op.dense(cap)
+    return op.dense()
 
 
 @dataclass(frozen=True)

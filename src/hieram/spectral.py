@@ -137,28 +137,26 @@ def group_eigenvalues(
 
 
 def dense_control(
-    t: Truncation, seq: CouplingSequence, r: int, cap: int = operators.DENSE_CAP, include_tail=True
+    t: Truncation, seq: CouplingSequence, r: int, include_tail=True
 ) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
     """(exact atoms, dense groups) of the compression onto the rank-r cluster,
     or of the cut-off Laplacian there without the tail: the closed-form atoms,
     and a values-only dense solve of the same block grouped against them."""
     if include_tail:
         exact = restricted_full_spectrum(t, seq, r)
-        block = operators.compression_dense_block(t, seq, r, cap)
+        block = operators.compression_dense_block(t, seq, r)
     else:
         exact = exact_cutoff_spectrum(t, seq, r)
-        block = operators.cutoff_dense_block(t, seq, r, cap)
+        block = operators.cutoff_dense_block(t, seq, r)
     values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
     return exact, group_eigenvalues(values, exact)
 
 
-def finite_volume_dos(
-    t: Truncation, seq: CouplingSequence, r: int, cap: int = operators.DENSE_CAP
-) -> SpectralMeasure:
+def finite_volume_dos(t: Truncation, seq: CouplingSequence, r: int) -> SpectralMeasure:
     """Eigenvalue counting measure of the compression onto the rank-r cluster:
     the distinct restricted_full_spectrum atoms at weight mult / N_r, once
     dense_control has matched them with the dense eigenvalues."""
-    exact, dense = dense_control(t, seq, r, cap)
+    exact, dense = dense_control(t, seq, r)
     locations = np.unique([loc for loc, _ in exact])  # the merged atoms
     weights = np.array([mult / t.sizes[r] for _, mult in dense])
     return SpectralMeasure(locations, weights, 1.0, 1.0 - locations)

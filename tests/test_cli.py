@@ -426,14 +426,105 @@ def test_hypothesis_with_declared_tail_is_inconclusive(tmp_path):
     assert summary["fractional_moment_upper_converges"] is None
 
 
-def test_dense_cap_breach_exits_3(tmp_path, capsys):
-    cfg = base_config(dense_cap=4)
-    config = write_config(tmp_path, cfg)
+@pytest.mark.parametrize("subcommand", ["spectrum", "dos", "localize"])
+def test_dense_size_past_the_cap_exits_3(tmp_path, capsys, subcommand):
+    # N = 8192 at depth 13 passes the fixed cap before any draw or sweep
+    config = write_config(tmp_path, base_config(hierarchy={"degree": 2, "depth": 13}))
     out = tmp_path / "o"
-    assert main(["spectrum", "--config", config, "--out", str(out)]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "dense-cap"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "dense-cap",
+        "detail": "dense size 8192 exceeds cap 4096",
+    }
     assert not out.exists()
+
+
+def test_dense_cap_is_not_a_config_key(tmp_path, capsys):
+    config = write_config(tmp_path, base_config(dense_cap=8192))
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "detail": "config schema violation: "
+        "Additional properties are not allowed ('dense_cap' was unexpected)",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section,values,detail",
+    [
+        ("coupling", {"family": "geometric", "rho": 0.5}, "family 'geometric': rho must exceed 1, got 0.5"),
+        (
+            "coupling",
+            {"family": "polygeometric", "n": 1, "epsilon": 0.3},
+            "family 'polygeometric': n must be >= 2, got 1",
+        ),
+        (
+            "coupling",
+            {"family": "polygeometric", "n": 2, "epsilon": 0.0},
+            "family 'polygeometric': epsilon must be positive, got 0.0",
+        ),
+        (
+            "coupling",
+            {"family": "explicit", "weights": [1.5, -0.5]},
+            "family 'explicit': all explicit weights must be positive",
+        ),
+        (
+            "coupling",
+            {"family": "explicit", "weights": []},
+            "family 'explicit': explicit coupling needs a non-empty weight list",
+        ),
+        (
+            "coupling",
+            {"family": "explicit", "weights": [1.0], "tail": -0.25},
+            "family 'explicit': tail mass must be >= 0, got -0.25",
+        ),
+        ("disorder", {"kind": "uniform", "width": 0.0}, "kind 'uniform': width must be positive, got 0.0"),
+        ("disorder", {"kind": "gaussian", "sigma": -1.0}, "kind 'gaussian': sigma must be positive, got -1.0"),
+        ("disorder", {"kind": "cauchy", "scale": 0.0}, "kind 'cauchy': scale must be positive, got 0.0"),
+        (
+            "disorder",
+            {"kind": "bernoulli", "a": 0.0, "b": 1.0, "q": 0.0},
+            "kind 'bernoulli': q must lie in (0, 1), got 0.0",
+        ),
+        (
+            "disorder",
+            {"kind": "bernoulli", "a": 0.0, "b": 1.0, "q": 1.0},
+            "kind 'bernoulli': q must lie in (0, 1), got 1.0",
+        ),
+    ],
+    ids=["rho", "n", "epsilon", "weights.0", "weights", "tail", "width", "sigma", "scale", "q0", "q1"],
+)
+def test_section_ranges_are_refused_by_their_class(tmp_path, capsys, section, values, detail):
+    # the schema checks only the types of these keys; each range belongs to
+    # the constructor, which words the refusal
+    config = write_config(tmp_path, base_config(**{section: values}))
+    out = tmp_path / "o"
+    assert main(["walk", "--config", config, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "detail": f"{section}: {detail}",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"hierarchy": {"degree": 7, "depth": 4}, "u_exponent": 37.3, "r_max": 500},
+        {"coupling": {"family": "geometric", "rho": 1.01}, "r_max": 1100},
+    ],
+)
+def test_hypothesis_partial_sums_past_the_float_range_warn_nothing(tmp_path, capsys, extra):
+    # finite terms whose running sum passes the float range: the sum reads inf,
+    # with no RuntimeWarning (an error under this suite's warning filter)
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "o"
+    assert main(["hypothesis", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "hypothesis.csv", newline="") as fh:
+        assert any(row["partial_sum"] == "inf" for row in csv.DictReader(fh))
 
 
 def test_dimension_requires_geometric(tmp_path, capsys):

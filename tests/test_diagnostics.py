@@ -152,6 +152,14 @@ def test_summability_ledger_has_no_inf_term_past_the_float_range():
     assert ledger.hypothesis_sums[-1] == pytest.approx(exact, rel=1e-12)
 
 
+def test_summability_ledger_sums_past_the_float_range_without_a_warning():
+    # degree 7, rho 4, u_r = r^37.3: finite hypothesis terms whose running
+    # sum passes the float range; a RuntimeWarning would fail this suite
+    t = Truncation(HierarchySpec.homogeneous(7, 4))
+    ledger = borel_cantelli_profile(GeometricCoupling(4.0), t, PowerSequence(37.3), 500)
+    assert np.isinf(ledger.hypothesis_sums[-1])
+
+
 def test_summability_ledger_past_the_float_range_of_u():
     # u_r = r^200 passes the float range from r = 35; the ledger reads its
     # thresholds as inf and 1/u_r from exp(-200 log r), subnormal at r = 35

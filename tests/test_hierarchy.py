@@ -144,6 +144,21 @@ def test_spec_size_extends_past_depth():
     assert mixed.size(3) == 18  # extends by the last factor
     with pytest.raises(ValueError):
         HierarchySpec.explicit([]).factor(1)
+    assert HierarchySpec.explicit([]).size(0) == 1
+    with pytest.raises(ValueError, match="cannot extend a depth-0 explicit branching plan"):
+        HierarchySpec.explicit([]).size(1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HierarchySpec.homogeneous(2, 5), HierarchySpec.explicit([2, 3, 2])],
+    ids=["homogeneous", "explicit"],
+)
+def test_spec_size_is_the_running_product(spec):
+    n = 1
+    for r in range(1101):
+        n *= spec.factor(r)
+        assert spec.size(r) == n, r
 
 
 def test_distance_matrix_matches_pairwise_queries():

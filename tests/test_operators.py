@@ -223,12 +223,15 @@ def test_eigensolve_quality_and_determinism():
 
 
 def test_dense_cap_enforced():
-    t = _t(2, 4)
+    t = _t(2, 13)  # N = 8192, past the fixed cap of 4096
     seq = GeometricCoupling(2.0)
-    with pytest.raises(DenseCapError):
-        laplacian(t, seq, 4).dense(cap=8)
-    with pytest.raises(DenseCapError):
-        cutoff_dense_block(t, seq, 4, cap=8)
+    for assemble in (
+        laplacian(t, seq, 13).dense,
+        lambda: cutoff_dense_block(t, seq, 13),
+        lambda: compression_dense_block(t, seq, 13),
+    ):
+        with pytest.raises(DenseCapError, match="dense size 8192 exceeds cap 4096"):
+            assemble()
 
 
 def test_operator_argument_validation():
