@@ -16,7 +16,6 @@ import inspect
 import json
 import math
 import numbers
-import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +26,8 @@ import numpy as np
 from . import __version__, coupling, diagnostics, disorder, greens, operators, spectral
 from .hierarchy import HierarchySpec, Truncation
 
+# shapes only: types, enums, required keys and no extra keys.  Each numeric
+# limit is refused by the code that reads the value, in words naming its key
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -36,13 +37,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "degree": {"type": "integer", "minimum": 2},
-                "branching": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
-                    "minItems": 1,
-                },
-                "depth": {"type": "integer", "minimum": 0},
+                "degree": {"type": "integer"},
+                "branching": {"type": "array", "items": {"type": "integer"}},
+                "depth": {"type": "integer"},
             },
         },
         "coupling": {
@@ -82,40 +79,31 @@ CONFIG_SCHEMA = {
             "properties": {
                 "min": {"type": "number"},
                 "max": {"type": "number"},
-                "points": {"type": "integer", "minimum": 2},
+                "points": {"type": "integer"},
             },
         },
-        "ranks": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
-        "rank": {"type": "integer", "minimum": 0},
-        "realizations": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "site": {"type": "integer", "minimum": 0},
-        "target": {"type": "integer", "minimum": 0},
+        "ranks": {"type": "array", "items": {"type": "integer"}},
+        "rank": {"type": "integer"},
+        "realizations": {"type": "integer"},
+        "seed": {"type": "integer"},
+        "site": {"type": "integer"},
+        "target": {"type": "integer"},
         "z": {
             "type": "object",
             "additionalProperties": False,
             "required": ["re", "im"],
             "properties": {"re": {"type": "number"}, "im": {"type": "number"}},
         },
-        "r_max": {"type": "integer", "minimum": 1},
-        "u_exponent": {"type": "number", "exclusiveMinimum": 1},
-        "s": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "threshold": {"type": "number", "exclusiveMinimum": 0},
-        "fit_window": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-        },
+        "r_max": {"type": "integer"},
+        "u_exponent": {"type": "number"},
+        "s": {"type": "number"},
+        "threshold": {"type": "number"},
+        "fit_window": {"type": "array", "items": {"type": "integer"}},
         "include_tail": {"type": "boolean"},
         "save_potentials": {"type": "boolean"},
         "output_dir": {"type": "string"},
         "format": {"enum": ["csv", "json"]},
-        "threads": {"type": "integer", "minimum": 1},
+        "threads": {"type": "integer"},
     },
 }
 
@@ -137,19 +125,14 @@ _IS_TYPE = {
         or isinstance(v, float) and v.is_integer()
     ),
 }
-_BOUNDS = {
-    "minimum": (operator.lt, "less than the minimum of"),
-    "maximum": (operator.gt, "greater than the maximum of"),
-    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
-    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
-}
 
 
 def _violations(value, schema: dict, path: tuple = ()):
     """Yield (path, message) for each way value breaks schema.
 
     Knows the keywords CONFIG_SCHEMA uses, visits them in jsonschema's order
-    and words each violation as jsonschema does.
+    and words each violation as jsonschema does.  Any other keyword, a range
+    rule among them, raises KeyError.
     """
     is_array, is_object = isinstance(value, list), isinstance(value, dict)
     for key, rule in schema.items():
@@ -159,17 +142,6 @@ def _violations(value, schema: dict, path: tuple = ()):
         elif key == "enum":
             if value not in rule:
                 yield path, f"{value!r} is not one of {rule!r}"
-        elif key in _BOUNDS:
-            fails, text = _BOUNDS[key]
-            if _IS_TYPE["number"](value) and fails(value, rule):
-                yield path, f"{value!r} is {text} {rule!r}"
-        elif key == "minItems":
-            if is_array and len(value) < rule:
-                text = "should be non-empty" if rule == 1 else "is too short"
-                yield path, f"{value!r} {text}"
-        elif key == "maxItems":
-            if is_array and len(value) > rule:
-                yield path, f"{value!r} is too long"
         elif key == "items":
             for index, item in enumerate(value if is_array else ()):
                 yield from _violations(item, rule, (*path, index))
@@ -360,11 +332,13 @@ def validate_config(config):
     validate reports (its best_match): the shallowest, then the one with the
     greatest instance path, then the first found.  best_match's last
     tie-break, whether the value is off its schema's type, never decides
-    here: without combinators, violations at one path share one schema."""
+    here: without combinators, violations at one path share one schema.  The
+    message names the key path (such as coupling.family) below the root."""
     errors = list(_violations(config, CONFIG_SCHEMA))
     if errors:
-        _, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
-        raise ConfigError(f"config schema violation: {message}")
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        at = f" at {'.'.join(map(str, path))}" if path else ""
+        raise ConfigError(f"config schema violation{at}: {message}")
 
 
 def _as_integers(value, schema: dict):
@@ -388,6 +362,8 @@ def resolve_hierarchy(cfg: dict) -> HierarchySpec:
             raise ConfigError("hierarchy: degree form requires depth")
         return HierarchySpec.homogeneous(h["degree"], h["depth"])
     if "branching" in h:
+        if not h["branching"]:  # an explicit plan extends by its last factor
+            raise ConfigError("hierarchy: branching must not be empty")
         spec = HierarchySpec.explicit(h["branching"])
         if "depth" in h and h["depth"] != spec.depth:
             raise ConfigError("hierarchy: depth must match the branching length")
@@ -422,6 +398,8 @@ def resolve_section(cfg: dict, section: str):
 def resolve_grid(cfg: dict, dist) -> tuple[float, float, int]:
     g = cfg.get("energy_grid", {})
     points = g.get("points", 2001)
+    if points < 2:
+        raise ConfigError(f"energy_grid: points must be >= 2, got {points}")
     if "min" in g or "max" in g:
         if not ("min" in g and "max" in g):
             raise ConfigError("energy_grid: min and max must come together")
@@ -440,16 +418,17 @@ def resolve_grid(cfg: dict, dist) -> tuple[float, float, int]:
     return float(lo), float(hi), int(points)
 
 
-def resolve_ranks(cfg: dict, depth: int) -> list[int]:
-    ranks = cfg.get("ranks", list(range(depth + 1)))
-    if any(r > depth for r in ranks):
-        raise ConfigError(f"ranks must not exceed the depth {depth}")
-    return sorted(set(int(r) for r in ranks))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def _test_sequence(cfg: dict, default: float) -> coupling.PowerSequence:
+    """u_r = r^u_exponent; PowerSequence refuses an exponent <= 1."""
+    try:
+        return coupling.PowerSequence(cfg.get("u_exponent", default))
+    except ValueError as exc:
+        raise ConfigError(f"u_exponent: {exc}") from exc
 
 
 def run_spectrum(ctx, writer: OutputWriter) -> dict:
@@ -477,9 +456,10 @@ def run_dos(ctx, writer: OutputWriter) -> dict:
 def run_dimension(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
     analytic = spectral.spectral_dimension(seq, t.degree)
-    r_lo, r_hi = cfg.get("fit_window", [5, 20])
-    if not 0 <= r_lo < r_hi:
-        raise ConfigError(f"fit_window must be increasing, got [{r_lo}, {r_hi}]")
+    window = cfg.get("fit_window", [5, 20])
+    if len(window) != 2 or not 0 <= window[0] < window[1]:
+        raise ConfigError(f"fit_window must be [lo, hi] with 0 <= lo < hi, got {window}")
+    r_lo, r_hi = window
     measure = spectral.limiting_spectral_measure(t, seq, r_hi + 5)
     # the measure's tails are seq.tail itself, so both window ends are atoms
     fitted = spectral.fit_spectral_dimension(measure, seq.tail(r_hi), seq.tail(r_lo))
@@ -505,7 +485,7 @@ def run_walk(ctx, writer: OutputWriter) -> dict:
 
 def run_hypothesis(ctx, writer: OutputWriter) -> dict:
     t, seq, cfg = ctx["trunc"], ctx["coupling"], ctx["config"]
-    u = coupling.PowerSequence(cfg.get("u_exponent", 1.1))
+    u = _test_sequence(cfg, 1.1)
     r_max = cfg.get("r_max", 40)
     s = cfg.get("s", 0.5)
     main = coupling.check_main_hypothesis(seq, t, u, r_max)
@@ -540,7 +520,7 @@ def run_green(ctx, writer: OutputWriter) -> dict:
     z_cfg = cfg.get("z", {"re": 0.5, "im": 1.0})
     z = complex(z_cfg["re"], z_cfg["im"])
     x, y, r = ctx["site"], ctx["target"], ctx["rank"]
-    omega = disorder.sample_potential(dist, t, cfg["seed"], 0)
+    omega = disorder.sample_potential(dist, t, ctx["seed"], 0)
     sites = t.cluster_sites(x, r)  # G_r(x, .) lives on Q_r(x)
     q, values, x_q = operators.cluster_cut(t, omega, r, x)
     cascade = greens.build_cascade(q, seq, values, z, r)
@@ -588,17 +568,17 @@ def _sweep_moments(ctx, writer: OutputWriter, ipr: bool):
     (index, energy, rank) in that order; a skipped energy's cells read NaN."""
     t, cfg = ctx["trunc"], ctx["config"]
     grid = resolve_grid(cfg, ctx["disorder"])
-    ranks = resolve_ranks(cfg, t.depth)
+    ranks = sorted(set(cfg.get("ranks", range(t.depth + 1))))
     report = diagnostics.localization_sweep(
         t,
         ctx["coupling"],
         ctx["disorder"],
-        cfg["seed"],
-        cfg.get("realizations", 1),
+        ctx["seed"],
+        ctx["realizations"],
         grid,
         ranks,
         ctx["site"],
-        ipr_rank=ranks[-1] if ipr else None,
+        ipr_rank=ranks[-1] if ipr and ranks else None,
         map_fn=ctx["map_fn"],
     )
     if not report.ok.any():
@@ -653,7 +633,7 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
     r, site = ctx["rank"], ctx["site"]
     threshold = cfg.get("threshold")
     if threshold is None:
-        u = coupling.PowerSequence(cfg.get("u_exponent", 2.0))
+        u = _test_sequence(cfg, 2.0)
         threshold = diagnostics.exceedance_threshold(u, t, r)
         if not 0 < threshold < math.inf:  # u_0 = 0, or past the float range
             hint = "use a rank >= 1" if r == 0 else "lower u_exponent"
@@ -661,8 +641,8 @@ def run_bound(ctx, writer: OutputWriter) -> dict:
                 f"bound: the default threshold (u_r N_r)^2 is {threshold:g} at rank {r}; "
                 f"set threshold or {hint}"
             )
-    draws = range(cfg.get("realizations", 1))
-    potentials = [disorder.sample_potential(dist, t, cfg["seed"], i) for i in draws]
+    draws = range(ctx["realizations"])
+    potentials = [disorder.sample_potential(dist, t, ctx["seed"], i) for i in draws]
 
     def one(omega):
         return diagnostics.measure_bound_check(t, seq, omega, r, threshold, grid, site)
@@ -755,16 +735,23 @@ def main(argv=None) -> int:
             "rank": config.get("rank", t.depth),
             "site": config.get("site", 0),
             "target": config.get("target", 0),
+            "seed": config["seed"],
+            "realizations": config.get("realizations", 1),
+            "threads": config.get("threads", os.cpu_count() or 1),
         }
         t.check_rank(ctx["rank"])
         t.check_site(ctx["site"])
-        t.check_site(ctx["target"])
+        t.check_site(ctx["target"], "target")
+        disorder.check_uint64("seed", ctx["seed"])
+        for key in ("realizations", "threads"):
+            if ctx[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {ctx[key]}")
         ctx["coupling"] = resolve_section(config, "coupling")
         default = disorder.Uniform()  # without a disorder section: uniform on [-1/2, 1/2]
         ctx["disorder"] = resolve_section(config, "disorder") if "disorder" in config else default
         out_dir = Path(config.get("output_dir", "hieram-out"))
         writer = OutputWriter(out_dir, config.get("format", "csv"))
-        with ThreadPoolExecutor(max_workers=config.get("threads", os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=ctx["threads"]) as pool:
             ctx["map_fn"] = pool.map
             summary = RUNNERS[args.subcommand](ctx, writer)
         writer.summary(summary)

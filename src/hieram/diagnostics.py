@@ -217,6 +217,10 @@ def localization_sweep(
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     ranks = tuple(int(r) for r in ranks)
+    if not ranks:
+        raise ValueError("ranks must not be empty")
+    for r in ranks:
+        t.check_rank(r, "ranks entry")
     if ipr_rank is not None:  # fail the IPR cap before any draw or sweep
         ipr_rank = int(ipr_rank)
         t.check_rank(ipr_rank)

@@ -103,13 +103,18 @@ class PotentialSample:
     index: int
 
 
+def check_uint64(name: str, v: int):
+    """Refuse a seed or realization index that cannot be half a Philox key."""
+    if not 0 <= v < 2**64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v}")
+
+
 def sample_potential(
     dist: DistributionSpec, t: Truncation, seed: int, index: int = 0
 ) -> PotentialSample:
     """Draw the N_R i.i.d. potential values for realization (seed, index)."""
-    for name, v in (("seed", seed), ("index", index)):
-        if not 0 <= v < 2**64:
-            raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v}")
+    check_uint64("seed", seed)
+    check_uint64("index", index)
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     values = dist.draw(rng, t.site_count)

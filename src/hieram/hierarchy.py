@@ -76,8 +76,9 @@ class HierarchySpec:
     def size(self, r: int) -> int:
         """Cluster size N_r = prod_{s<=r} n_s as an exact integer; past the
         depth the factor is constant, so N_r = N_depth n^(r - depth)."""
-        n = math.prod(self.factors[: max(r, 0)])
-        return n if r <= self.depth else n * self.factor(r) ** (r - self.depth)
+        f = self.factor(r)  # refuses a negative rank
+        n = math.prod(self.factors[:r])
+        return n if r <= self.depth else n * f ** (r - self.depth)
 
 
 class Truncation:
@@ -131,13 +132,13 @@ class Truncation:
         self.check_site(y)
         return next(r for r in range(self.depth + 1) if int(y) in self.cluster_sites(x, r))
 
-    def check_site(self, x: int):
+    def check_site(self, x: int, name: str = "site"):
         if not 0 <= x < self.site_count:
-            raise ValueError(f"site {x} out of range [0, {self.site_count})")
+            raise ValueError(f"{name} {x} out of range [0, {self.site_count})")
 
-    def check_rank(self, r: int):
+    def check_rank(self, r: int, name: str = "rank"):
         if not 0 <= r <= self.depth:
-            raise ValueError(f"rank {r} out of range [0, {self.depth}]")
+            raise ValueError(f"{name} {r} out of range [0, {self.depth}]")
 
 
 def distance_matrix(t: Truncation) -> np.ndarray:

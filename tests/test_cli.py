@@ -248,7 +248,7 @@ def test_out_of_range_site_rejected(tmp_path, capsys):
         ("dos", "rank", 5, "rank 5 out of range [0, 4]"),
         ("green", "rank", 9, "rank 9 out of range [0, 4]"),
         ("green", "site", 16, "site 16 out of range [0, 16)"),
-        ("green", "target", 99, "site 99 out of range [0, 16)"),
+        ("green", "target", 99, "target 99 out of range [0, 16)"),
         ("bound", "rank", 9, "rank 9 out of range [0, 4]"),
         ("bound", "site", 16, "site 16 out of range [0, 16)"),
         ("localize", "site", 16, "site 16 out of range [0, 16)"),
@@ -299,8 +299,12 @@ def test_out_of_range_rank_or_site_leaves_no_output(
             {"energy_grid": {"min": 1.0, "max": 0.5, "points": 5}},
             r"energy_grid: need max > min, got \[1\.0, 0\.5\]",
         ),
-        ("moments", {"ranks": [0, 5]}, r"ranks must not exceed the depth 4"),
-        ("dimension", {"fit_window": [5, 5]}, r"fit_window must be increasing, got \[5, 5\]"),
+        ("moments", {"ranks": [0, 5]}, r"ranks entry 5 out of range \[0, 4\]"),
+        (
+            "dimension",
+            {"fit_window": [5, 5]},
+            r"fit_window must be \[lo, hi\] with 0 <= lo < hi, got \[5, 5\]",
+        ),
         (
             "walk",
             {"coupling": {"family": "geometric", "rho": 4.0, "weights": [0.5, 0.5]}},
@@ -324,7 +328,7 @@ def test_out_of_range_rank_or_site_leaves_no_output(
         (
             "walk",
             {"coupling": {"family": "nonsense"}},
-            r"config schema violation: 'nonsense' is not one of "
+            r"config schema violation at coupling\.family: 'nonsense' is not one of "
             r"\['geometric', 'polygeometric', 'explicit'\]",
         ),
     ],
@@ -507,6 +511,146 @@ def test_section_ranges_are_refused_by_their_class(tmp_path, capsys, section, va
         "detail": f"{section}: {detail}",
     }
     assert not out.exists()
+
+
+def _keywords(schema):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _keywords(sub)
+    if "items" in schema:
+        yield from _keywords(schema["items"])
+
+
+def test_config_schema_checks_shapes_only():
+    shapes = {"type", "enum", "items", "properties", "required", "additionalProperties"}
+    assert set(_keywords(CONFIG_SCHEMA)) == shapes
+    with pytest.raises(KeyError, match="minimum"):  # no range rule can creep back
+        list(cli._violations(1, {"minimum": 2}))
+
+
+_GRID = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}}
+_SEED_RANGE = "seed must be an unsigned 64-bit integer, got "
+
+
+# one case or more per range rule the config schema held, each under a
+# subcommand that reads the key; the reader refuses the value and names it
+@pytest.mark.parametrize(
+    "subcommand,extra,flags,detail",
+    [
+        pytest.param(
+            "walk", {"hierarchy": {"degree": 1, "depth": 4}}, [], "degree must be >= 2, got 1",
+            id="degree",
+        ),
+        pytest.param(
+            "walk", {"hierarchy": {"branching": [2, 1]}}, [],
+            "branching factors must be >= 2, got 1", id="branching-factor",
+        ),
+        pytest.param(
+            "walk", {"hierarchy": {"branching": []}}, [],
+            "hierarchy: branching must not be empty", id="branching-empty",
+        ),
+        pytest.param(
+            "walk", {"hierarchy": {"degree": 2, "depth": -1}}, [], "depth must be >= 0, got -1",
+            id="depth",
+        ),
+        pytest.param(
+            "moments", {"energy_grid": {"min": -0.5, "max": 1.5, "points": 1}}, [],
+            "energy_grid: points must be >= 2, got 1", id="points-moments",
+        ),
+        pytest.param(
+            "bound", {"energy_grid": {"min": -0.5, "max": 1.5, "points": 1}}, [],
+            "energy_grid: points must be >= 2, got 1", id="points-bound",
+        ),
+        pytest.param(
+            "moments", {**_GRID, "ranks": [-1, 3]}, [], "ranks entry -1 out of range [0, 4]",
+            id="ranks-negative",
+        ),
+        pytest.param(
+            "moments", {**_GRID, "ranks": [0, 5]}, [], "ranks entry 5 out of range [0, 4]",
+            id="ranks-past-depth",
+        ),
+        pytest.param(
+            "moments", {**_GRID, "ranks": []}, [], "ranks must not be empty", id="ranks-empty",
+        ),
+        pytest.param(
+            "localize", {**_GRID, "ranks": []}, [], "ranks must not be empty",
+            id="ranks-empty-localize",
+        ),
+        pytest.param("spectrum", {"rank": -1}, [], "rank -1 out of range [0, 4]", id="rank"),
+        pytest.param(
+            "moments", {**_GRID, "realizations": 0}, [], "realizations must be >= 1, got 0",
+            id="realizations-moments",
+        ),
+        pytest.param(
+            "bound", {**_GRID, "realizations": 0}, [], "realizations must be >= 1, got 0",
+            id="realizations-bound",
+        ),
+        pytest.param("walk", {"seed": -1}, [], _SEED_RANGE + "-1", id="seed-negative-walk"),
+        pytest.param(
+            "moments", {**_GRID, "seed": -1}, [], _SEED_RANGE + "-1", id="seed-negative-moments",
+        ),
+        pytest.param(
+            "walk", {"seed": 2**64}, [], _SEED_RANGE + str(2**64), id="seed-past-64-bits-walk",
+        ),
+        pytest.param(
+            "moments", {**_GRID, "seed": 2**64}, [], _SEED_RANGE + str(2**64),
+            id="seed-past-64-bits-moments",
+        ),
+        pytest.param("green", {"site": -1}, [], "site -1 out of range [0, 16)", id="site"),
+        pytest.param("green", {"target": -1}, [], "target -1 out of range [0, 16)", id="target"),
+        pytest.param("walk", {"r_max": 0}, [], "r_max must be >= 1, got 0", id="r_max-walk"),
+        pytest.param(
+            "hypothesis", {"r_max": 0}, [], "r_max must be >= 2, got 0", id="r_max-hypothesis",
+        ),
+        pytest.param("dos", {"r_max": -1}, [], "r_max must be >= 0, got -1", id="r_max-dos"),
+        pytest.param(
+            "hypothesis", {"u_exponent": 1.0}, [],
+            "u_exponent: exponent must exceed 1 for summable 1/u_r, got 1.0",
+            id="u_exponent-hypothesis",
+        ),
+        pytest.param(
+            "bound", {**_GRID, "u_exponent": 1.0}, [],
+            "u_exponent: exponent must exceed 1 for summable 1/u_r, got 1.0",
+            id="u_exponent-bound",
+        ),
+        pytest.param("hypothesis", {"s": 0.0}, [], "s must lie in (0, 1), got 0.0", id="s-low"),
+        pytest.param("hypothesis", {"s": 1.0}, [], "s must lie in (0, 1), got 1.0", id="s-high"),
+        pytest.param(
+            "bound", {**_GRID, "threshold": 0.0}, [], "threshold must be positive, got 0.0",
+            id="threshold",
+        ),
+        pytest.param(
+            "dimension", {"fit_window": [-1, 5]}, [],
+            "fit_window must be [lo, hi] with 0 <= lo < hi, got [-1, 5]", id="fit_window-negative",
+        ),
+        pytest.param(
+            "dimension", {"fit_window": [5]}, [],
+            "fit_window must be [lo, hi] with 0 <= lo < hi, got [5]", id="fit_window-short",
+        ),
+        pytest.param(
+            "dimension", {"fit_window": [5, 8, 9]}, [],
+            "fit_window must be [lo, hi] with 0 <= lo < hi, got [5, 8, 9]", id="fit_window-long",
+        ),
+        pytest.param("walk", {"threads": 0}, [], "threads must be >= 1, got 0", id="threads-key"),
+        pytest.param(
+            "walk", {}, ["--threads", "0"], "threads must be >= 1, got 0", id="threads-flag",
+        ),
+    ],
+)
+def test_each_range_is_refused_by_its_reader(tmp_path, capsys, subcommand, extra, flags, detail):
+    config = write_config(tmp_path, base_config(**extra))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", config, "--out", str(out), *flags]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "detail": detail}
+    assert not out.exists()
+
+
+def test_dos_takes_r_max_0(tmp_path):
+    # limiting_spectral_measure takes r_max >= 0; the schema once asked for 1
+    config = write_config(tmp_path, base_config(r_max=0))
+    out = tmp_path / "o"
+    assert main(["dos", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["r_max"] == 0
 
 
 @pytest.mark.parametrize(
@@ -1375,9 +1519,6 @@ def test_blas_free_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 # --- the config walker against jsonschema, its oracle ----------------------
 
-_BOUND_KEYS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
-
-
 def _draw_valid(data, schema):
     """A value that satisfies schema."""
     if "enum" in schema:
@@ -1390,22 +1531,15 @@ def _draw_valid(data, schema):
             required = required + data.draw(st.lists(st.sampled_from(optional), unique=True))
         return {k: _draw_valid(data, schema["properties"][k]) for k in required}
     if kind == "array":
-        size = data.draw(st.integers(schema.get("minItems", 0), schema.get("maxItems", 3)))
+        size = data.draw(st.integers(0, 3))
         return [_draw_valid(data, schema["items"]) for _ in range(size)]
     if kind == "boolean":
         return data.draw(st.booleans())
     if kind == "string":
         return data.draw(st.text(max_size=3))
-    lo = schema.get("minimum", schema.get("exclusiveMinimum", -4))
-    hi = schema.get("maximum", schema.get("exclusiveMaximum", lo + 40))
     if kind == "integer":
-        return data.draw(st.integers(lo, hi))
-    values = st.floats(
-        lo, hi, exclude_min="exclusiveMinimum" in schema, exclude_max="exclusiveMaximum" in schema
-    )
-    if hi - lo > 2:
-        values |= st.integers(math.floor(lo) + 1, math.ceil(hi) - 1)
-    return data.draw(values)
+        return data.draw(st.integers(-4, 36))
+    return data.draw(st.floats(-4, 36) | st.integers(-3, 35))
 
 
 # one value of each JSON type; integer and number share 3
@@ -1423,29 +1557,18 @@ def _draw_mutant(data, schema):
     """A value that breaks schema once, at its root; "float" for an integer
     may also be valid (2.0 is an integer)."""
     kind = schema.get("type")
-    ways = ["type"] + ["bound"] * any(k in schema for k in _BOUND_KEYS)
-    ways += {
+    ways = ["type"] + {
         "integer": ["bool", "fraction", "float"],
-        "array": ["short"] * ("minItems" in schema) + ["long"] * ("maxItems" in schema),
         "object": ["extra"] + ["missing"] * ("required" in schema),
     }.get(kind, [])
     way = data.draw(st.sampled_from(ways), label="way")
     if way == "type":  # off the type, or outside the enum
         fits = schema.get("enum", [_OF_TYPE.get(kind)])
         return data.draw(st.sampled_from([v for v in [None, *_OF_TYPE.values()] if v not in fits]))
-    if way == "bound":
-        key = data.draw(st.sampled_from([k for k in _BOUND_KEYS if k in schema]))
-        step = {"minimum": -1, "maximum": 1, "exclusiveMinimum": 0, "exclusiveMaximum": 0}[key]
-        value = schema[key] + step
-        return value if kind == "integer" else data.draw(st.sampled_from([value, float(value)]))
     if way == "bool":
         return data.draw(st.booleans())
     if way in ("fraction", "float"):
-        lo = schema.get("minimum", 0)
-        return lo + 0.5 if way == "fraction" else float(data.draw(st.integers(lo, lo + 9)))
-    if kind == "array":
-        size = schema["minItems"] - 1 if way == "short" else schema["maxItems"] + 1
-        return [_draw_valid(data, schema["items"]) for _ in range(size)]
+        return 0.5 if way == "fraction" else float(data.draw(st.integers(0, 9)))
     value = _draw_valid(data, schema)
     if way == "extra":  # jsonschema lists the extra keys sorted
         extras = st.lists(st.sampled_from(["zz", "extra", "Hierarchy"]), min_size=1, unique=True)
@@ -1461,9 +1584,7 @@ def _draw_with_mutants(data, schema, paths):
     if () in paths:
         return _draw_mutant(data, schema)
     if "items" in schema:
-        items = [_draw_valid(data, schema["items"]) for _ in range(schema.get("minItems", 1))]
-        items[0] = _draw_with_mutants(data, schema["items"], {p[1:] for p in paths})
-        return items
+        return [_draw_with_mutants(data, schema["items"], {p[1:] for p in paths})]
     value = _draw_valid(data, schema)
     for name in {p[0] for p in paths}:
         inner = {p[1:] for p in paths if p[0] == name}
@@ -1494,24 +1615,28 @@ def _jsonschema_validator():
 
 
 def _jsonschema_message(config):
+    """(key path, message) of validate's error, or None."""
     jsonschema, validator = _jsonschema_validator()
     error = jsonschema.exceptions.best_match(validator.iter_errors(config))
-    return None if error is None else error.message
+    return None if error is None else (".".join(map(str, error.absolute_path)), error.message)
 
 
 def test_jsonschema_oracle_is_validate():
     jsonschema, _ = _jsonschema_validator()
-    config = base_config(seed=-1, hierarchy={"degree": True})
+    config = base_config(seed="1", hierarchy={"degree": True})
     with pytest.raises(jsonschema.ValidationError) as exc:
         jsonschema.validate(config, CONFIG_SCHEMA)
-    assert _jsonschema_message(config) == exc.value.message
+    assert _jsonschema_message(config) == ("seed", exc.value.message)
 
 
 def _walker_message(config):
+    """(key path, message) of validate_config's refusal, or None; the path is
+    "" at the root, where the message names none."""
     try:
         cli.validate_config(config)
     except cli.ConfigError as exc:
-        return str(exc).removeprefix("config schema violation: ")
+        match = re.fullmatch(r"config schema violation(?: at (\S+))?: (.*)", str(exc), re.S)
+        return match[1] or "", match[2]
     return None
 
 

@@ -359,3 +359,14 @@ def test_localization_sweep_validation():
         localization_sweep(t, seq, Uniform(0.0, 1.0), 1, 0, (-1.0, 1.0, 5), ranks=(0,))
     with pytest.raises(ValueError):
         localization_sweep(t, seq, Uniform(0.0, 1.0), 1, 1, (1.0, -1.0, 5), ranks=(0,))
+
+
+@pytest.mark.parametrize(
+    "ranks,match",
+    [([-1, 3], "ranks entry -1 out of range"), ([0, 4], "ranks entry 4 out of range"), ([], "empty")],
+)
+def test_localization_sweep_refuses_ranks_off_the_lattice(ranks, match):
+    # rank -1 once read S_3's row, under the label -1
+    t = _t(3)
+    with pytest.raises(ValueError, match=match):
+        localization_sweep(t, GeometricCoupling(4.0), Uniform(), 1, 1, (0.0, 1.0, 3), ranks)

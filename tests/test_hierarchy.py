@@ -150,6 +150,19 @@ def test_spec_size_extends_past_depth():
 
 
 @pytest.mark.parametrize(
+    "plan",
+    [HierarchySpec.homogeneous(2, 5), HierarchySpec.explicit([2, 3, 2])],
+    ids=["homogeneous", "explicit"],
+)
+def test_size_refuses_a_negative_rank_as_factor_does(plan):
+    # size(-1) once read 1
+    for obj in (plan, Truncation(plan)):
+        for query in (obj.factor, obj.size):
+            with pytest.raises(ValueError, match=r"rank must be >= 0, got -1"):
+                query(-1)
+
+
+@pytest.mark.parametrize(
     "spec",
     [HierarchySpec.homogeneous(2, 5), HierarchySpec.explicit([2, 3, 2])],
     ids=["homogeneous", "explicit"],
