@@ -26,6 +26,30 @@ import numpy as np
 from . import __version__, coupling, diagnostics, disorder, greens, operators, spectral
 from .hierarchy import HierarchySpec, Truncation
 
+# section -> (the key that names its class, the classes by that name)
+_SECTIONS = {"coupling": ("family", coupling.FAMILIES), "disorder": ("kind", disorder.KINDS)}
+# a constructor parameter's annotation -> the JSON type of its config key
+_JSON_TYPES = {
+    float: {"type": "number"},
+    int: {"type": "integer"},
+    list[float]: {"type": "array", "items": {"type": "number"}},
+}
+
+
+def _section_schema(selector: str, classes: dict) -> dict:
+    """A coupling or disorder section: the selector naming a class, and each
+    constructor parameter of the classes, typed by the annotation they share."""
+    properties = {selector: {"enum": list(classes)}}
+    for cls in classes.values():
+        for key, param in inspect.signature(cls, eval_str=True).parameters.items():
+            rule = _JSON_TYPES[param.annotation]
+            if properties.setdefault(key, rule) != rule:
+                raise TypeError(f"{cls.__name__} annotates {key!r} unlike an earlier {selector}")
+    return dict(
+        type="object", additionalProperties=False, required=[selector], properties=properties
+    )
+
+
 # shapes only: types, enums, required keys and no extra keys.  Each numeric
 # limit is refused by the code that reads the value, in words naming its key
 CONFIG_SCHEMA = {
@@ -42,36 +66,7 @@ CONFIG_SCHEMA = {
                 "depth": {"type": "integer"},
             },
         },
-        "coupling": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["family"],
-            "properties": {
-                "family": {"enum": list(coupling.FAMILIES)},
-                "rho": {"type": "number"},
-                "n": {"type": "integer"},
-                "epsilon": {"type": "number"},
-                "weights": {"type": "array", "items": {"type": "number"}},
-                "tail": {"type": "number"},
-            },
-        },
-        "disorder": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": list(disorder.KINDS)},
-                "center": {"type": "number"},
-                "width": {"type": "number"},
-                "mean": {"type": "number"},
-                "sigma": {"type": "number"},
-                "location": {"type": "number"},
-                "scale": {"type": "number"},
-                "a": {"type": "number"},
-                "b": {"type": "number"},
-                "q": {"type": "number"},
-            },
-        },
+        **{name: _section_schema(*rule) for name, rule in _SECTIONS.items()},
         "energy_grid": {
             "type": "object",
             "additionalProperties": False,
@@ -217,9 +212,13 @@ def _cells(column: np.ndarray, quote, json_floats: bool) -> list:
 
 class OutputWriter:
     """Writes tables and the manifest with deterministic bytes; the directory
-    is made at the first write, so a run that fails before it leaves none."""
+    is made at the first write, so a run that fails before it leaves none,
+    and refused at once where a file stands in its path."""
 
     def __init__(self, out_dir: Path, fmt_name: str):
+        for p in (out_dir, *out_dir.parents):
+            if p.exists() and not p.is_dir():
+                raise ConfigError(f"output_dir {str(out_dir)!r}: {str(p)!r} is not a directory")
         self.out_dir = out_dir
         self.fmt_name = fmt_name
         self.files: list[str] = []
@@ -369,10 +368,6 @@ def resolve_hierarchy(cfg: dict) -> HierarchySpec:
             raise ConfigError("hierarchy: depth must match the branching length")
         return spec
     raise ConfigError("hierarchy: need degree or branching")
-
-
-# section -> (the key that names its class, the classes by that name)
-_SECTIONS = {"coupling": ("family", coupling.FAMILIES), "disorder": ("kind", disorder.KINDS)}
 
 
 def resolve_section(cfg: dict, section: str):
@@ -713,6 +708,7 @@ _EXITS = (
     (spectral.EigenvalueGroupingError, "eigenvalue-grouping", 3),
     ((ValueError, OverflowError), "config", 2),
     (RuntimeError, "runtime", 3),
+    (OSError, "output", 3),  # a data file or directory that cannot be written
 )
 
 

@@ -199,7 +199,7 @@ class PolyGeometricCoupling(CouplingSequence):
 class ExplicitCoupling(CouplingSequence):
     """Weights p_1..p_L given directly, plus a declared tail mass beyond L."""
 
-    def __init__(self, weights, tail: float = 0.0):
+    def __init__(self, weights: list[float], tail: float = 0.0):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("explicit coupling needs a non-empty weight list")

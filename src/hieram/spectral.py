@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
-from .coupling import CouplingSequence, GeometricCoupling, _exp
+from . import coupling, operators
 from .hierarchy import HierarchySpec, Truncation
 
 
@@ -43,7 +42,7 @@ class SpectralMeasure:
 
 
 def exact_cutoff_spectrum(
-    t: Truncation, seq: CouplingSequence, r: int
+    t: Truncation, seq: coupling.CouplingSequence, r: int
 ) -> list[tuple[float, int]]:
     """Eigenvalues (lambda_s, multiplicity) of the rank-r cut-off Laplacian.
 
@@ -60,7 +59,7 @@ def exact_cutoff_spectrum(
 
 
 def restricted_full_spectrum(
-    t: Truncation, seq: CouplingSequence, r: int | None = None
+    t: Truncation, seq: coupling.CouplingSequence, r: int | None = None
 ) -> list[tuple[float, int]]:
     """Spectrum of the full Laplacian compressed onto the rank-r cluster.
 
@@ -77,7 +76,7 @@ def restricted_full_spectrum(
 
 
 def limiting_spectral_measure(
-    geometry: HierarchySpec | Truncation, seq: CouplingSequence, r_max: int
+    geometry: HierarchySpec | Truncation, seq: coupling.CouplingSequence, r_max: int
 ) -> SpectralMeasure:
     """Atoms (lambda_r, 1/N_r - 1/N_{r+1}) for r <= r_max.
 
@@ -137,7 +136,7 @@ def group_eigenvalues(
 
 
 def dense_control(
-    t: Truncation, seq: CouplingSequence, r: int, include_tail=True
+    t: Truncation, seq: coupling.CouplingSequence, r: int, include_tail=True
 ) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
     """(exact atoms, dense groups) of the compression onto the rank-r cluster,
     or of the cut-off Laplacian there without the tail: the closed-form atoms,
@@ -152,7 +151,7 @@ def dense_control(
     return exact, group_eigenvalues(values, exact)
 
 
-def finite_volume_dos(t: Truncation, seq: CouplingSequence, r: int) -> SpectralMeasure:
+def finite_volume_dos(t: Truncation, seq: coupling.CouplingSequence, r: int) -> SpectralMeasure:
     """Eigenvalue counting measure of the compression onto the rank-r cluster:
     the distinct restricted_full_spectrum atoms at weight mult / N_r, once
     dense_control has matched them with the dense eigenvalues."""
@@ -162,13 +161,14 @@ def finite_volume_dos(t: Truncation, seq: CouplingSequence, r: int) -> SpectralM
     return SpectralMeasure(locations, weights, 1.0, 1.0 - locations)
 
 
-def spectral_dimension(seq: CouplingSequence, degree: int | None) -> float:
+def spectral_dimension(seq: coupling.CouplingSequence, degree: int | None) -> float:
     """2 log n / log rho for a geometric coupling at degree n (None: inhomogeneous)."""
-    if degree is None or not isinstance(seq, GeometricCoupling):
+    rho, q = seq.decay or (None, None)  # geometric: p_r = C rho^{-r}, q = 0
+    if degree is None or q != 0.0:
         raise ValueError("dimension needs a homogeneous hierarchy and a geometric coupling")
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
-    return 2.0 * math.log(degree) / math.log(seq.rho)
+    return 2.0 * math.log(degree) / math.log(rho)
 
 
 def fit_spectral_dimension(
@@ -208,7 +208,7 @@ class WalkReport:
 
 def walk_classification(
     geometry: HierarchySpec | Truncation,
-    seq: CouplingSequence,
+    seq: coupling.CouplingSequence,
     r_max: int,
 ) -> WalkReport:
     """Sum the return series (1/N_r - 1/N_{r+1}) / (1 - lambda_r).
@@ -229,13 +229,14 @@ def walk_classification(
         # a vanishing tail (log_tail -inf) gives L_r = inf
         log_terms.append(math.log1p(-1.0 / f_next) - log_n - seq.log_tail(r))
         log_n += math.log(f_next)
-    terms = np.array([_exp(v) for v in log_terms])
+    terms = np.array([coupling._exp(v) for v in log_terms])
     with np.errstate(over="ignore"):
         sums = np.cumsum(terms)
 
     analytic = None
-    if geometry.degree is not None and isinstance(seq, GeometricCoupling):
-        analytic = "transient" if seq.rho < geometry.degree else "recurrent"
+    rho, q = seq.decay or (None, None)
+    if geometry.degree is not None and q == 0.0:
+        analytic = "transient" if rho < geometry.degree else "recurrent"
 
     step = log_terms[-1] - log_terms[-2]  # nan past a vanishing tail: recurrent
     slack = 8 * np.finfo(float).eps * max(1.0, log_n, -seq.log_tail(r_max))

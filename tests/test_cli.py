@@ -1,5 +1,6 @@
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from hieram import (
     spectral,
 )
 from hieram.cli import CONFIG_SCHEMA, OutputWriter, columns, main
+from hieram.coupling import FAMILIES
 from hieram.operators import compression_dense_block, cutoff_dense_block
 
 
@@ -224,6 +226,32 @@ def test_schema_violations_rejected(tmp_path):
     for i, cfg in enumerate(bad_cases):
         config = write_config(tmp_path, cfg, name=f"bad{i}.json")
         assert main(["walk", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_output_path_through_a_file_is_refused_before_the_run(
+    tmp_path, capsys, monkeypatch, out
+):
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.setitem(cli.RUNNERS, "walk", lambda ctx, writer: pytest.fail("the run started"))
+    config = write_config(tmp_path, base_config())
+    assert main(["walk", "--config", config, "--out", str(tmp_path / out)]) == 2
+    path = str(tmp_path / out)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "detail": f"output_dir {path!r}: {str(tmp_path / 'afile')!r} is not a directory",
+    }
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_a_failed_write_exits_3_with_an_output_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "walk.csv").mkdir(parents=True)  # a directory where the table goes
+    config = write_config(tmp_path, base_config())
+    assert main(["walk", "--config", config, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "output" and "walk.csv" in err["detail"], err
+    assert sorted(p.name for p in out.iterdir()) == ["walk.csv"]
 
 
 def test_unreadable_config_rejected(tmp_path):
@@ -526,6 +554,87 @@ def test_config_schema_checks_shapes_only():
     assert set(_keywords(CONFIG_SCHEMA)) == shapes
     with pytest.raises(KeyError, match="minimum"):  # no range rule can creep back
         list(cli._violations(1, {"minimum": 2}))
+
+
+# the coupling and disorder sections as the schema once spelled them out; the
+# schema now reads them off the constructors, and must not change
+LITERAL_SECTIONS = {
+    "coupling": {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["family"],
+        "properties": {
+            "family": {"enum": ["geometric", "polygeometric", "explicit"]},
+            "rho": {"type": "number"},
+            "n": {"type": "integer"},
+            "epsilon": {"type": "number"},
+            "weights": {"type": "array", "items": {"type": "number"}},
+            "tail": {"type": "number"},
+        },
+    },
+    "disorder": {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["kind"],
+        "properties": {
+            "kind": {"enum": ["uniform", "gaussian", "cauchy", "bernoulli"]},
+            "center": {"type": "number"},
+            "width": {"type": "number"},
+            "mean": {"type": "number"},
+            "sigma": {"type": "number"},
+            "location": {"type": "number"},
+            "scale": {"type": "number"},
+            "a": {"type": "number"},
+            "b": {"type": "number"},
+            "q": {"type": "number"},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("section", LITERAL_SECTIONS)
+def test_section_schemas_are_the_literal_ones(section):
+    built = CONFIG_SCHEMA["properties"][section]
+    # byte for byte, key order included
+    assert json.dumps(built) == json.dumps(LITERAL_SECTIONS[section])
+
+
+def test_a_key_two_classes_type_differently_is_refused():
+    class Narrow:
+        def __init__(self, x: int):
+            pass
+
+    class Wide:
+        def __init__(self, x: float):
+            pass
+
+    with pytest.raises(TypeError, match="Wide annotates 'x' unlike an earlier kind"):
+        cli._section_schema("kind", {"narrow": Narrow, "wide": Wide})
+
+
+SECTION_PARAMS = [
+    (section, selector, name, key)
+    for section, selector, classes in [("coupling", "family", FAMILIES), ("disorder", "kind", disorder.KINDS)]
+    for name, cls in classes.items()
+    for key in inspect.signature(cls).parameters
+]
+
+
+@pytest.mark.parametrize(
+    "section,selector,name,key", SECTION_PARAMS, ids=[f"{p[2]}.{p[3]}" for p in SECTION_PARAMS]
+)
+def test_a_string_for_any_section_key_is_a_schema_violation(
+    tmp_path, capsys, section, selector, name, key
+):
+    cfg = base_config(**{section: {selector: name, key: "1"}})
+    out = tmp_path / "o"
+    assert main(["walk", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    json_type = LITERAL_SECTIONS[section]["properties"][key]["type"]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "detail": f"config schema violation at {section}.{key}: '1' is not of type '{json_type}'",
+    }
+    assert not out.exists()
 
 
 _GRID = {"energy_grid": {"min": -0.5, "max": 1.5, "points": 11}}
@@ -1439,8 +1548,13 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, key, raw):
             {"realizations": 2.0, "ranks": [0.0, 2.0], "seed": 7.0},
             {"realizations": 2, "ranks": [0, 2], "seed": 7},
         ),
+        (
+            "walk",
+            {"coupling": {"family": "polygeometric", "n": 2.0, "epsilon": 0.3}},
+            {"coupling": {"family": "polygeometric", "n": 2, "epsilon": 0.3}},
+        ),
     ],
-    ids=["walk", "bound", "moments"],
+    ids=["walk", "bound", "moments", "polygeometric-n"],
 )
 def test_integer_valued_floats_run_as_their_integer_twins(tmp_path, subcommand, floats, ints):
     # JSON Schema's "integer" admits 2.0; such configs once crashed with rc 1

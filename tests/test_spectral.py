@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hieram import (
+    CouplingSequence,
     EigenvalueGroupingError,
     ExplicitCoupling,
     GeometricCoupling,
@@ -197,6 +198,33 @@ def test_spectral_dimension_analytic_values():
         spectral_dimension(ExplicitCoupling([1.0]), 2)
     with pytest.raises(ValueError, match="homogeneous hierarchy"):
         spectral_dimension(GeometricCoupling(4.0), None)
+
+
+class _DeclaredGeometric(CouplingSequence):
+    """p_r = 3 * 4^{-r}, a geometric law that only its decay states."""
+
+    decay = (4.0, 0.0)
+
+    def _p(self, r):
+        return 3.0 * 4.0**-r
+
+    def _tail(self, r):
+        return 4.0**-r
+
+
+def test_the_geometric_law_is_read_off_decay():
+    spec = HierarchySpec.homogeneous(2, 3)
+    declared, geometric = _DeclaredGeometric(), GeometricCoupling(4.0)
+    assert geometric.decay == (4.0, 0.0)
+    assert spectral_dimension(declared, 2) == spectral_dimension(geometric, 2) == 1.0
+    for seq in (declared, geometric):
+        assert walk_classification(spec, seq, 30).analytic_classification == "recurrent"
+    # a power of r in the law, or no law at all: no closed form
+    for seq in (PolyGeometricCoupling(2, 0.3), ExplicitCoupling([0.5, 0.5])):
+        assert seq.decay is None or seq.decay[1] < -3
+        with pytest.raises(ValueError, match="geometric coupling"):
+            spectral_dimension(seq, 2)
+        assert walk_classification(spec, seq, 30).analytic_classification is None
 
 
 @pytest.mark.parametrize("degree,rho,d", [(2, 4.0, 1.0), (2, 2.0, 2.0), (4, 2.0, 4.0)])
