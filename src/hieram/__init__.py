@@ -39,15 +39,7 @@ from .greens import (
     green_entry,
 )
 from .hierarchy import HierarchySpec, Truncation
-from .operators import (
-    DenseCapError,
-    DenseSpectrum,
-    HierarchicalOperator,
-    averaging,
-    dense_symmetric_eigensolve,
-    hamiltonian,
-    laplacian,
-)
+from .operators import DenseCapError, DenseSpectrum, dense_symmetric_eigensolve
 from .spectral import (
     EigenvalueGroupingError,
     SpectralMeasure,

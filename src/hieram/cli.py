@@ -213,11 +213,11 @@ def _cells(column: np.ndarray, quote, json_floats: bool) -> list:
 class OutputWriter:
     """Writes tables and the manifest with deterministic bytes; the directory
     is made at the first write, so a run that fails before it leaves none,
-    and refused at once where a file stands in its path."""
+    and refused at once where a file or a dangling link stands in its path."""
 
     def __init__(self, out_dir: Path, fmt_name: str):
         for p in (out_dir, *out_dir.parents):
-            if p.exists() and not p.is_dir():
+            if os.path.lexists(p) and not p.is_dir():
                 raise ConfigError(f"output_dir {str(out_dir)!r}: {str(p)!r} is not a directory")
         self.out_dir = out_dir
         self.fmt_name = fmt_name

@@ -121,43 +121,38 @@ def _level0_ok(values, z, work):
     return np.minimum(below, above) >= POLE_TOL
 
 
-def _levels(t, seq, values, z, r, work, ok, squares=False, fourths=False):
+def _levels(t, seq, values, z, r, work, ok, powers=0):
     """The alpha/beta recursion over a 1-D array z of evaluation points.
 
-    Yields (denom, alpha, w, w4) for s = 1..r, arrays of shape (len(z), rank-s
+    Yields (denom, alpha, sums) for s = 1..r, arrays of shape (len(z), rank-s
     clusters): denom = 1 + p_s beta with beta the children's mean alpha, and
     alpha = beta / denom.  Level 0, alpha_0 = 1 / (values - z), is folded into
     level 1: it is formed one child slot at a time, in a scratch of the level-1
-    shape, and summed into the level-1 sums, so no array spans the sites.  With
-    squares, w = W_s, the squared norms of the level vectors over the rank-s
-    clusters (see _sweep); else None.  With fourths (which implies squares),
-    w4 = W4_s, their sums of fourth powers,
-    W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from W4_0 = v_0^4
-    (see _ipr_sweep); else None.  ok is the level-0 mask (_level0_ok),
-    cut in place from the first level with |denom| below POLE_TOL, past which
-    alpha is not meaningful.  The dtype follows z.
+    shape, and summed into the level-1 sums, so no array spans the sites.  sums
+    holds the first powers (0, 1 or 2) of: W_s, the squared norms of the level
+    vectors over the rank-s clusters (see _sweep), then W4_s, their sums of
+    fourth powers, W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from
+    W4_0 = v_0^4 (see _ipr_sweep), formed from the squares of W_s.  ok is the
+    level-0 mask (_level0_ok), cut in place from the first level with |denom|
+    below POLE_TOL, past which alpha is not meaningful.  The dtype follows z.
 
-    Two levels are live at a time: alpha, w and w4 alternate between two
-    buffers of the workspace dict work (by s mod 2), and every level shares one
-    denom buffer.  The other alpha buffer, dead once its children are summed,
-    is the level's scratch (alpha_0 of a child slot, |denom|, F_s, F_s^2, then
-    F_s^4).  So a yielded denom and alpha hold until the next level is formed,
-    and w and w4 until the one after it.
+    Two levels are live at a time: alpha and each of sums alternate between
+    two buffers of the workspace dict work (by s mod 2), and every level shares
+    one denom buffer.  The other alpha buffer, dead once its children are
+    summed, is the level's scratch (alpha_0 of a child slot, |denom|, F_s,
+    F_s^2, then F_s^4).  So a yielded denom and alpha hold until the next level
+    is formed, and sums until the one after it.
     """
     dtype = np.result_type(values, z)
-    squares = squares or fourths  # W4_s is formed from the squares of W_s
-    alpha = w = w4 = None
+    alpha, sums = None, ()
     for s in range(1, r + 1):
         n_s = t.factor(s)
         shape = (z.size, t.site_count // t.sizes[s])
-        children, children_w, children_w4 = alpha, w, w4
+        children, children_sums = alpha, sums
         alpha = _buffer(work, ("alpha", s % 2), shape, dtype)  # sums, beta, then alpha
         scratch = _buffer(work, ("alpha", 1 - s % 2), shape, dtype)
         denom = _buffer(work, "denom", shape, dtype)
-        if squares:
-            w = _buffer(work, ("W", s % 2), shape)
-        if fourths:
-            w4 = _buffer(work, ("W4", s % 2), shape)
+        sums = tuple(_buffer(work, (key, s % 2), shape) for key in ("W", "W4")[:powers])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if s == 1:  # alpha_0, W_0 = alpha_0^2 and W4_0 = W_0^2 of child slot j
                 for j in range(n_s):
@@ -165,31 +160,25 @@ def _levels(t, seq, values, z, r, work, ok, squares=False, fourths=False):
                     np.divide(1.0, np.subtract(values[j::n_s], z[:, None], out=a_0), out=a_0)
                     if j:
                         np.add(alpha, a_0, out=alpha)
-                    if squares and j:
-                        np.add(w, np.square(a_0, out=a_0), out=w)
-                    elif squares:
-                        np.square(a_0, out=w)
-                    if fourths and j:
-                        np.add(w4, np.square(a_0, out=a_0), out=w4)
-                    elif fourths:
-                        np.square(w, out=w4)
+                    for w, base in zip(sums, (a_0, *sums)):
+                        if j:  # a_0 becomes alpha_0^2, then alpha_0^4
+                            np.add(w, np.square(a_0, out=a_0), out=w)
+                        else:  # W_0 from a_0, then W4_0 from W_0
+                            np.square(base, out=w)
             else:  # children is read here before scratch overwrites it
                 _child_sums(children, n_s, alpha)
-                if squares:
-                    _child_sums(children_w, n_s, w)
-                if fourths:
-                    _child_sums(children_w4, n_s, w4)
+                for w, child_w in zip(sums, children_sums):
+                    _child_sums(child_w, n_s, w)
             beta = np.divide(alpha, n_s, out=alpha)
             np.add(1.0, np.multiply(seq.p(s), beta, out=denom), out=denom)
             ok &= np.abs(denom, out=scratch.real).min(axis=1) >= POLE_TOL
             np.divide(beta, denom, out=alpha)
-            if squares:  # W_s = F_s^2 times the children's W_{s-1}
+            if sums:
                 f = np.multiply(math.sqrt(n_s), denom, out=scratch)
                 f = np.divide(1.0, f, out=f)  # F_s = 1 / (sqrt(n_s) d_s)
+            for w in sums:  # W_s = F_s^2, W4_s = F_s^4 times the children's
                 np.multiply(w, np.square(f, out=f), out=w)
-            if fourths:  # W4_s = F_s^4 times the children's W4_{s-1}
-                np.multiply(w4, np.square(f, out=f), out=w4)
-        yield denom, alpha, w, w4
+        yield denom, alpha, sums
 
 
 def build_cascade(
@@ -215,7 +204,7 @@ def build_cascade(
         raise PoleProximityError(0, z)
     v_0 = 1.0 / (values - point[0])
     levels, alphas = [v_0], [v_0]
-    for s, (denom, alpha, _, _) in enumerate(_levels(t, seq, values, point, r, work, ok), 1):
+    for s, (denom, alpha, _) in enumerate(_levels(t, seq, values, point, r, work, ok), 1):
         if not ok[0]:
             raise PoleProximityError(s, z)
         alphas.append(alpha[0].copy())
@@ -232,10 +221,6 @@ class GreenQueryResult:
     value: complex
     terms: tuple[complex, ...]
     first_level: int
-
-    def check_sum(self, g0: complex) -> complex:
-        """g0 less the terms, one level at a time, as the entry is formed."""
-        return reduce(operator.sub, self.terms, g0)
 
 
 def _level_term(c: GreenCascade, x: int, s: int, sites: range) -> np.ndarray:
@@ -313,12 +298,12 @@ def _sweep(t, seq, values, energies, x, r, work):
     amps = np.zeros((r, n_e))  # amps[s-1] = A_{s',s} at the current rank s'
     spans = np.empty((r, n_e))  # spans[s-1] = prod_{s''=s..s'} F_{s''}(Q_{s''}(x))
     ok = _level0_ok(values, energies, work)
-    levels = _levels(t, seq, values, energies, r, work, ok, squares=True)
+    levels = _levels(t, seq, values, energies, r, work, ok, powers=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v_x = 1.0 / (values[x] - energies)  # v_s(x), the level vector at x
         g_xx = v_x.copy()  # G_s(x, x)
         moments[0] = g_xx**2
-        for s, (denom, _, w_s, _) in enumerate(levels, start=1):
+        for s, (denom, _, (w_s,)) in enumerate(levels, start=1):
             n_s = t.factor(s)
             parent = x // sizes[s]
             child = x // sizes[s - 1] % n_s
@@ -349,7 +334,7 @@ def _norm_sweep(t, seq, values, energies, x, r, work):
     ok = _level0_ok(values, energies, work)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = np.square(1.0 / (values[x] - energies))[:, None]  # W_0(x), the answer at r = 0
-    for _, _, w, _ in _levels(t, seq, values, energies, r, work, ok, squares=True):
+    for _, _, (w,) in _levels(t, seq, values, energies, r, work, ok, powers=1):
         pass
     return t.sizes[r] * w[:, 0], ok
 
@@ -379,8 +364,7 @@ def _ipr_sweep(t, seq, values, energies, x, r, work):
             w = np.square(alpha)
             w4 = np.square(w)
         else:
-            levels = _levels(t, seq, values, energies, r - 1, work, ok, squares=True, fourths=True)
-            for _, alpha, w, w4 in levels:
+            for _, alpha, (w, w4) in _levels(t, seq, values, energies, r - 1, work, ok, powers=2):
                 pass
         denom = 1.0 + seq.p(r) * (alpha.sum(axis=1) / n_r)
         norm2 = w.sum(axis=1)

@@ -1,20 +1,16 @@
-"""The hierarchical operator on a truncation, plus dense oracles.
+"""Dense blocks of the hierarchical Laplacian, the one symmetric eigensolver,
+and the cut of a rank-r cluster out of a truncation.
 
-Every operator here - an averaging operator E_r, a cut-off or compressed
-Laplacian, an Anderson Hamiltonian - is one object
+On a rank-r cluster the cut-off Laplacian sum_{s=1..r} p_s E_s, where E_s
+replaces each rank-s block of a state by its block mean, has entry
+K[d(x, y)] with K[d] = sum_{s=d..r} p_s / N_s: a function of the
+hierarchical distance alone, so both dense blocks are a lookup of the
+distance kernel.  Compressing the full Laplacian to the cluster adds the
+constant tail kernel: for x, y inside it and s > r both sites share their
+rank-s cluster, so each deep level contributes p_s / N_s.
 
-    diag(potential) + sum_{s=0..R} w_s E_s + tau J,
-
-where E_s replaces each rank-s block of a state by its block mean (E_0 is
-the identity) and J is the all-ones kernel.  Compressing the full Laplacian
-to the truncation leaves the cut-off part plus that uniform kernel carrying
-the coupling tail: for x, y inside the truncation and s > R both sites share
-their rank-s cluster, so each deep level contributes the constant p_s / N_s.
-Applications run in O(N * R) via blocked scans.
-
-Dense assembly goes through the distance kernel (independent of apply, so the
-two paths can cross-check each other), and the dense symmetric eigensolver
-wraps LAPACK's eigh, or its values-only eigvalsh where no vector is read.
+The dense symmetric eigensolver wraps LAPACK's eigh, or its values-only
+eigvalsh where no vector is read.
 """
 
 from __future__ import annotations
@@ -34,16 +30,6 @@ class DenseCapError(ValueError):
     """Raised when a dense assembly or eigensolve exceeds the size cap."""
 
 
-def _as_state(t: Truncation, psi) -> np.ndarray:
-    psi = np.asarray(psi)
-    if psi.ndim != 1 or psi.shape[0] != t.site_count:
-        raise ValueError(
-            f"state must be a vector of length {t.site_count}, got shape {psi.shape}"
-        )
-    dtype = np.complex128 if np.iscomplexobj(psi) else np.float64
-    return psi.astype(dtype, copy=False)
-
-
 def check_cap(n: int):
     if n > DENSE_CAP:
         raise DenseCapError(f"dense size {n} exceeds cap {DENSE_CAP}")
@@ -59,77 +45,6 @@ def potential_values(t: Truncation, omega) -> np.ndarray:
     return values
 
 
-class HierarchicalOperator:
-    """diag(potential) + sum_{s=0..R} w_s E_s + tau J on a truncation.
-
-    ``weights`` holds w_0..w_R, so R is the rank; ``potential`` may be None.
-    """
-
-    def __init__(self, t: Truncation, weights, tail: float = 0.0, potential=None):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1:
-            raise ValueError(f"weights must be a vector, got shape {weights.shape}")
-        self.rank = weights.size - 1
-        t.check_rank(self.rank)
-        self.trunc = t
-        self.weights = weights
-        self.tail = tail
-        self.potential = None if potential is None else potential_values(t, potential)
-
-    def apply(self, psi) -> np.ndarray:
-        """One bottom-up/top-down blocked pass over the ranks."""
-        t = self.trunc
-        psi = _as_state(t, psi)
-        # block sums per level, then accumulate weighted means downward
-        sums = [psi]
-        for s in range(1, self.rank + 1):
-            sums.append(sums[-1].reshape(-1, t.factor(s)).sum(axis=1))
-        acc = (self.weights[-1] / t.sizes[self.rank]) * sums[-1]
-        for s in range(self.rank, 0, -1):
-            acc = np.repeat(acc, t.factor(s))
-            acc = acc + (self.weights[s - 1] / t.sizes[s - 1]) * sums[s - 1]
-        if self.potential is not None:
-            acc = acc + self.potential * psi
-        return acc + self.tail * psi.sum()
-
-    def dense(self) -> np.ndarray:
-        """The matrix via the distance kernel.
-
-        Entry (x, y) is K[d(x, y)] with K[d] = sum_{s=d}^{R} w_s / N_s + tau.
-        """
-        t = self.trunc
-        check_cap(t.site_count)
-        per_site = self.weights / np.array(t.sizes[: self.rank + 1])
-        k = np.zeros(t.depth + 1)
-        k[: self.rank + 1] = np.cumsum(per_site[::-1])[::-1]
-        h = (k + self.tail)[distance_matrix(t)]
-        if self.potential is not None:
-            h[np.diag_indices(t.site_count)] += self.potential
-        return h
-
-
-def averaging(t: Truncation, r: int) -> HierarchicalOperator:
-    """E_r: orthogonal projection onto states constant on rank-r clusters."""
-    t.check_rank(r)
-    return HierarchicalOperator(t, np.eye(r + 1)[r])
-
-
-def laplacian(t: Truncation, seq: CouplingSequence, r: int) -> HierarchicalOperator:
-    """The rank-r cut-off Laplacian sum_{1<=s<=r} p_s E_s."""
-    t.check_rank(r)
-    return HierarchicalOperator(t, [0.0] + [seq.p(s) for s in range(1, r + 1)])
-
-
-def hamiltonian(
-    t: Truncation, seq: CouplingSequence, omega, r: int
-) -> HierarchicalOperator:
-    """The rank-r Anderson Hamiltonian: potential plus cut-off Laplacian.
-
-    ``omega`` is an array of site values or a PotentialSample.
-    """
-    return HierarchicalOperator(t, laplacian(t, seq, r).weights, potential=omega)
-
-
 def cluster_cut(t: Truncation, omega, r: int, x: int):
     """Q_r(x) as a lattice of its own: (t.cluster_lattice(r), the potential
     on its sites, the local index of x there)."""
@@ -138,16 +53,25 @@ def cluster_cut(t: Truncation, omega, r: int, x: int):
     return t.cluster_lattice(r), values, x - sites.start
 
 
+def _distance_block(q: Truncation, seq: CouplingSequence, tail: float) -> np.ndarray:
+    """sum_{s=1..r} p_s E_s + tail J on the depth-r lattice q of a rank-r
+    cluster, dense: entry (x, y) is K[d(x, y)] + tail with
+    K[d] = sum_{s=d..r} p_s / N_s."""
+    check_cap(q.site_count)
+    p = np.array([0.0] + [seq.p(s) for s in range(1, q.depth + 1)])
+    k = np.cumsum((p / np.array(q.sizes))[::-1])[::-1]
+    return (k + tail)[distance_matrix(q)]
+
+
 def cutoff_dense_block(t: Truncation, seq: CouplingSequence, r: int) -> np.ndarray:
     """Dense rank-r cut-off Laplacian on a rank-r cluster (all share it)."""
-    return laplacian(t.cluster_lattice(r), seq, r).dense()
+    return _distance_block(t.cluster_lattice(r), seq, 0.0)
 
 
 def compression_dense_block(t: Truncation, seq: CouplingSequence, r: int) -> np.ndarray:
     """Dense compression of the full Laplacian (tail: t's plan) onto a rank-r cluster."""
     q = t.cluster_lattice(r)
-    op = HierarchicalOperator(q, laplacian(q, seq, r).weights, seq.weighted_tail(r, t))
-    return op.dense()
+    return _distance_block(q, seq, seq.weighted_tail(r, t))
 
 
 @dataclass(frozen=True)

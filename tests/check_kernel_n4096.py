@@ -22,11 +22,11 @@ from hieram import (
     HierarchySpec,
     Truncation,
     Uniform,
-    hamiltonian,
     ipr_profile,
     operators,
     sample_potential,
 )
+from reference_operator import hamiltonian
 
 
 def check(t, seq, dist, seed):

@@ -26,7 +26,6 @@ from hieram import (
     disorder,
     exact_cutoff_spectrum,
     group_eigenvalues,
-    hamiltonian,
     localization_sweep,
     operators,
     restricted_full_spectrum,
@@ -35,6 +34,7 @@ from hieram import (
 from hieram.cli import CONFIG_SCHEMA, OutputWriter, columns, main
 from hieram.coupling import FAMILIES
 from hieram.operators import compression_dense_block, cutoff_dense_block
+from reference_operator import hamiltonian
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -228,20 +228,24 @@ def test_schema_violations_rejected(tmp_path):
         assert main(["walk", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "link", "link/sub"])
 def test_an_output_path_through_a_file_is_refused_before_the_run(
     tmp_path, capsys, monkeypatch, out
 ):
+    # a dangling link too: Path.exists follows it, so only lexists sees it
     (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
     monkeypatch.setitem(cli.RUNNERS, "walk", lambda ctx, writer: pytest.fail("the run started"))
     config = write_config(tmp_path, base_config())
     assert main(["walk", "--config", config, "--out", str(tmp_path / out)]) == 2
-    path = str(tmp_path / out)
+    path, first = str(tmp_path / out), str(tmp_path / out.split("/")[0])
     assert json.loads(capsys.readouterr().err) == {
         "error": "config",
-        "detail": f"output_dir {path!r}: {str(tmp_path / 'afile')!r} is not a directory",
+        "detail": f"output_dir {path!r}: {first!r} is not a directory",
     }
     assert (tmp_path / "afile").read_text() == "kept\n"
+    assert os.readlink(tmp_path / "link") == str(tmp_path / "nowhere")
+    assert not os.path.exists(tmp_path / "nowhere")
 
 
 def test_a_failed_write_exits_3_with_an_output_error(tmp_path, capsys):

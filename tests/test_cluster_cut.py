@@ -27,12 +27,8 @@ from hieram import (
 )
 from hieram import greens, operators
 from hieram.greens import cluster_norm_sweep, moment_ladder_sweep
-from hieram.operators import (
-    HierarchicalOperator,
-    compression_dense_block,
-    cutoff_dense_block,
-    laplacian,
-)
+from hieram.operators import compression_dense_block, cutoff_dense_block
+from reference_operator import HierarchicalOperator, laplacian
 
 COUPLINGS = [
     GeometricCoupling(4.0),

@@ -17,13 +17,13 @@ from hieram import (
     Uniform,
     borel_cantelli_profile,
     dense_symmetric_eigensolve,
-    hamiltonian,
     ipr_profile,
     localization_sweep,
     measure_bound_check,
     operators,
     sample_potential,
 )
+from reference_operator import hamiltonian
 
 
 def _t(depth):

@@ -9,10 +9,9 @@ from hieram import (
     HierarchySpec,
     Truncation,
     Uniform,
-    hamiltonian,
-    laplacian,
     sample_potential,
 )
+from reference_operator import hamiltonian, laplacian
 
 
 def _t(depth=3):

@@ -20,13 +20,13 @@ from hieram import (
     PolyGeometricCoupling,
     Truncation,
     Uniform,
-    hamiltonian,
     ipr_profile,
     operators,
     sample_potential,
 )
 from hieram import greens
 from hieram.operators import cluster_cut, cutoff_dense_block, dense_symmetric_eigensolve
+from reference_operator import hamiltonian
 
 
 def _t(depth):
@@ -205,22 +205,17 @@ def test_heavy_tailed_draw_keeps_the_kernel_through_many_repairs(monkeypatch):
 
 
 def test_fourths_imply_squares():
-    # W4_s is formed from the squares of W_s, so asking for fourths alone must
+    # W4_s is formed from the squares of W_s, so the second of two powers must
     # give the sums of v_s^4, with v_s = (H_s - e)^{-1} phi_Q the level vector
     t = Truncation(HierarchySpec.explicit([3, 2, 2]))
     seq = GeometricCoupling(3.0)
     omega = sample_potential(Gaussian(0.0, 1.0), t, 5, 0)
     z = np.linspace(-2.1, 2.1, 9)
-
-    def last_w4(**flags):
-        ok = greens._level0_ok(omega.values, z, {})
-        for _, _, _, w4 in greens._levels(t, seq, omega.values, z, 3, {}, ok, **flags):
-            pass
-        assert ok.all()
-        return w4[:, 0].copy()
-
-    w4 = last_w4(fourths=True)
-    assert np.array_equal(w4, last_w4(squares=True, fourths=True))
+    ok = greens._level0_ok(omega.values, z, {})
+    for _, _, (_, w4) in greens._levels(t, seq, omega.values, z, 3, {}, ok, powers=2):
+        pass
+    assert ok.all()
+    w4 = w4[:, 0]
     h = hamiltonian(t, seq, omega, 3).dense()
     for k, e in enumerate(z):
         v = np.linalg.solve(h - e * np.eye(12), np.full(12, 1 / np.sqrt(12)))

@@ -7,16 +7,13 @@ from hieram import (
     DenseCapError,
     ExplicitCoupling,
     GeometricCoupling,
-    HierarchicalOperator,
     HierarchySpec,
     Truncation,
-    averaging,
     dense_symmetric_eigensolve,
     exact_cutoff_spectrum,
-    hamiltonian,
-    laplacian,
 )
 from hieram.operators import compression_dense_block, cutoff_dense_block
+from reference_operator import HierarchicalOperator, averaging, hamiltonian, laplacian
 
 
 def _t(degree=2, depth=3):

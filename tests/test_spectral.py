@@ -20,13 +20,13 @@ from hieram import (
     finite_volume_dos,
     fit_spectral_dimension,
     group_eigenvalues,
-    laplacian,
     limiting_spectral_measure,
     restricted_full_spectrum,
     spectral_dimension,
     walk_classification,
 )
 from hieram.operators import compression_dense_block
+from reference_operator import laplacian
 
 
 def cluster_eigenvalues(values, tol):
