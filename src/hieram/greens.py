@@ -121,17 +121,51 @@ def _level0_ok(values, z, work):
     return np.minimum(below, above) >= POLE_TOL
 
 
+def _children(t, values, z, s, work, below, powers):
+    """Level s's sums over each cluster's children, written into level s's
+    buffers of work (_levels): alpha, the sum of the children's alpha, and
+    sums, the first powers of the sums of the children's W and W4, arrays of
+    shape (len(z), rank-s clusters).  Returns (alpha, sums).
+
+    below is level s-1's (alpha, sums), summed in child order (_child_sums).
+    At s = 1 it is unused, and level 0 is folded in instead: alpha_0 =
+    1 / (values - z), W_0 = alpha_0^2 and W4_0 = W_0^2 are formed one child
+    slot at a time, in the other alpha buffer, and summed in child order, so
+    no array spans the sites.  The caller sets np.errstate.
+    """
+    n_s = t.factor(s)
+    shape = (z.size, t.site_count // t.sizes[s])
+    alpha = _buffer(work, ("alpha", s % 2), shape, np.result_type(values, z))
+    sums = tuple(_buffer(work, (key, s % 2), shape) for key in ("W", "W4")[:powers])
+    if s == 1:  # alpha_0, W_0 = alpha_0^2 and W4_0 = W_0^2 of child slot j
+        scratch = _buffer(work, ("alpha", 0), shape, alpha.dtype)
+        for j in range(n_s):
+            a_0 = scratch if j else alpha
+            np.divide(1.0, np.subtract(values[j::n_s], z[:, None], out=a_0), out=a_0)
+            if j:
+                np.add(alpha, a_0, out=alpha)
+            for w, base in zip(sums, (a_0, *sums)):
+                if j:  # a_0 becomes alpha_0^2, then alpha_0^4
+                    np.add(w, np.square(a_0, out=a_0), out=w)
+                else:  # W_0 from a_0, then W4_0 from W_0
+                    np.square(base, out=w)
+    else:  # below holds level s-1's alpha and sums
+        _child_sums(below[0], n_s, alpha)
+        for w, child_w in zip(sums, below[1]):
+            _child_sums(child_w, n_s, w)
+    return alpha, sums
+
+
 def _levels(t, seq, values, z, r, work, ok, powers=0):
     """The alpha/beta recursion over a 1-D array z of evaluation points.
 
     Yields (denom, alpha, sums) for s = 1..r, arrays of shape (len(z), rank-s
     clusters): denom = 1 + p_s beta with beta the children's mean alpha, and
-    alpha = beta / denom.  Level 0, alpha_0 = 1 / (values - z), is folded into
-    level 1: it is formed one child slot at a time, in a scratch of the level-1
-    shape, and summed into the level-1 sums, so no array spans the sites.  sums
-    holds the first powers (0, 1 or 2) of: W_s, the squared norms of the level
-    vectors over the rank-s clusters (see _sweep), then W4_s, their sums of
-    fourth powers, W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from
+    alpha = beta / denom.  Each level starts from its child sums (_children,
+    which folds level 0 into level 1) and closes them here.  sums holds the
+    first powers (0, 1 or 2) of: W_s, the squared norms of the level vectors
+    over the rank-s clusters (see _sweep), then W4_s, their sums of fourth
+    powers, W4_s(Q) = F_s(Q)^4 sum_{children Q'} W4_{s-1}(Q') from
     W4_0 = v_0^4 (see _ipr_sweep), formed from the squares of W_s.  ok is the
     level-0 mask (_level0_ok), cut in place from the first level with |denom|
     below POLE_TOL, past which alpha is not meaningful.  The dtype follows z.
@@ -143,33 +177,14 @@ def _levels(t, seq, values, z, r, work, ok, powers=0):
     F_s^2, then F_s^4).  So a yielded denom and alpha hold until the next level
     is formed, and sums until the one after it.
     """
-    dtype = np.result_type(values, z)
-    alpha, sums = None, ()
+    level = None
     for s in range(1, r + 1):
         n_s = t.factor(s)
-        shape = (z.size, t.site_count // t.sizes[s])
-        children, children_sums = alpha, sums
-        alpha = _buffer(work, ("alpha", s % 2), shape, dtype)  # sums, beta, then alpha
-        scratch = _buffer(work, ("alpha", 1 - s % 2), shape, dtype)
-        denom = _buffer(work, "denom", shape, dtype)
-        sums = tuple(_buffer(work, (key, s % 2), shape) for key in ("W", "W4")[:powers])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if s == 1:  # alpha_0, W_0 = alpha_0^2 and W4_0 = W_0^2 of child slot j
-                for j in range(n_s):
-                    a_0 = scratch if j else alpha
-                    np.divide(1.0, np.subtract(values[j::n_s], z[:, None], out=a_0), out=a_0)
-                    if j:
-                        np.add(alpha, a_0, out=alpha)
-                    for w, base in zip(sums, (a_0, *sums)):
-                        if j:  # a_0 becomes alpha_0^2, then alpha_0^4
-                            np.add(w, np.square(a_0, out=a_0), out=w)
-                        else:  # W_0 from a_0, then W4_0 from W_0
-                            np.square(base, out=w)
-            else:  # children is read here before scratch overwrites it
-                _child_sums(children, n_s, alpha)
-                for w, child_w in zip(sums, children_sums):
-                    _child_sums(child_w, n_s, w)
-            beta = np.divide(alpha, n_s, out=alpha)
+            alpha, sums = level = _children(t, values, z, s, work, level, powers)
+            scratch = _buffer(work, ("alpha", 1 - s % 2), alpha.shape, alpha.dtype)
+            denom = _buffer(work, "denom", alpha.shape, alpha.dtype)
+            beta = np.divide(alpha, n_s, out=alpha)  # alpha holds sums, beta, then alpha
             np.add(1.0, np.multiply(seq.p(s), beta, out=denom), out=denom)
             ok &= np.abs(denom, out=scratch.real).min(axis=1) >= POLE_TOL
             np.divide(beta, denom, out=alpha)
@@ -352,23 +367,23 @@ def _ipr_sweep(t, seq, values, energies, x, r, work):
 
     (H_r - e) psi = (H_{r-1} - e) psi + p_r phi_Q <phi_Q, psi> = d_r phi_Q exactly,
     with d_r = 1 + p_r beta_r, so the residual ||(H_r - e) psi|| / ||psi|| is
-    |d_r| / ||psi||, with ||psi||^2 = sum_C W_{r-1}(C) / n_r.  The pole mask
-    covers the levels below r only, where d_r is meant to vanish.  x is unused:
-    the vectors span Q.  Returns (iprs, residuals, norms, ok), norms = ||psi||.
+    |d_r| / ||psi||, with ||psi||^2 = sum_C W_{r-1}(C) / n_r.  The kernel runs
+    to level r - 1, and level r's sums over the children C (of alpha, W and
+    W4) come from _children, as each lower level's do, in child order; at
+    r = 1 that folds level 0 in.  Level r is not closed: the pole mask covers
+    the levels below r only, where d_r is meant to vanish.  x is unused: the
+    vectors span Q.  Returns (iprs, residuals, norms, ok), norms = ||psi||.
     """
     n_r = t.factor(r)
     ok = _level0_ok(values, energies, work)
+    level = None  # at r = 1, level 0 is folded into level r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if r == 1:  # the children are the sites: alpha_0, W_0 and W4_0 from the potential
-            alpha = 1.0 / (values - energies[:, None])
-            w = np.square(alpha)
-            w4 = np.square(w)
-        else:
-            for _, alpha, (w, w4) in _levels(t, seq, values, energies, r - 1, work, ok, powers=2):
-                pass
-        denom = 1.0 + seq.p(r) * (alpha.sum(axis=1) / n_r)
-        norm2 = w.sum(axis=1)
-        iprs = w4.sum(axis=1) / np.square(norm2)
+        for _, *level in _levels(t, seq, values, energies, r - 1, work, ok, powers=2):
+            pass
+        alpha, (w, w4) = _children(t, values, energies, r, work, level, 2)
+        denom = 1.0 + seq.p(r) * (alpha[:, 0] / n_r)
+        norm2 = w[:, 0]
+        iprs = w4[:, 0] / np.square(norm2)
         norms = np.sqrt(norm2 / n_r)
         residuals = np.abs(denom) / norms
     return iprs, residuals, norms, ok
@@ -503,8 +518,9 @@ def _inverse_iteration_ipr(t, seq, values, e, r):
         x = c.levels[r - 1] / (values - e)
         for s in range(1, r + 1):
             n_s, size = t.factor(s), t.sizes[s]
-            denom = 1.0 + seq.p(s) * (c.alphas[s - 1].reshape(-1, n_s).sum(axis=1) / n_s)
             proj = x.reshape(-1, size).sum(axis=1) / math.sqrt(size)  # <phi_C, x>
+            # d_s as _levels forms it, from the children's alpha in child order
+            denom = 1.0 + seq.p(s) * (_child_sums(c.alphas[s - 1], n_s, np.empty_like(proj)) / n_s)
             x = x - seq.p(s) / math.sqrt(n_s) * c.levels[s - 1] * np.repeat(proj / denom, size)
         x = np.square(x / np.abs(x).max())  # scaled: |x| grows as 1 / |e - e_i|
         return float(np.sum(np.square(x)) / np.sum(x) ** 2)

@@ -1,7 +1,9 @@
 """Kernel IPRs at N = 4096 against numpy's eigh.
 
-Runs ipr_profile at degree 2, depth 12, rho 4, rank 12 on two draws (uniform,
-seed 301, draw 0; Gaussian, seed 302, draw 0). Each draw must keep the level
+Runs ipr_profile at full rank on two plans, degree 2, depth 12, rho 4 and
+degree 8, depth 4, rho 16, each on two draws (uniform, seed 301, draw 0;
+Gaussian, seed 302, draw 0). At degree 8 every level sums 8 children, where
+numpy's row sum no longer runs in child order. Each draw must keep the level
 kernel (one values-only dense solve, no eigh fallback), and match
 np.linalg.eigh of the same block: eigenvalues within 1e-12 max|e| and IPRs
 within 1e-8. The eigh alone takes seconds at this size, so this is a CI step
@@ -49,7 +51,8 @@ def check(t, seq, dist, seed):
     kernel = solves == [False]  # one values-only solve: no eigh fallback
     ok = kernel and d_value <= 1e-12 and d_ipr <= 1e-8
     print(
-        f"{dist.kind} seed {seed} draw 0, N = {t.site_count}: "
+        f"{dist.kind} seed {seed} draw 0, degree {t.degree}, rho {seq.rho:g}, "
+        f"N = {t.site_count}: "
         f"{'kernel' if kernel else 'eigh fallback'}, max |de| / max|e| {d_value:.3g}, "
         f"max |dIPR| {d_ipr:.3g}: {'ok' if ok else 'FAIL'}"
     )
@@ -57,10 +60,13 @@ def check(t, seq, dist, seed):
 
 
 def main():
-    t = Truncation(HierarchySpec.homogeneous(2, 12))
-    seq = GeometricCoupling(4.0)
+    plans = [(2, 12, 4.0), (8, 4, 16.0)]  # (degree, depth, rho)
     draws = [(Uniform(0.0, 1.0), 301), (Gaussian(0.0, 1.0), 302)]
-    results = [check(t, seq, dist, seed) for dist, seed in draws]
+    results = [
+        check(Truncation(HierarchySpec.homogeneous(degree, depth)), GeometricCoupling(rho), *draw)
+        for degree, depth, rho in plans
+        for draw in draws
+    ]
     return 0 if all(results) else 1
 
 

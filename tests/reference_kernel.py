@@ -5,6 +5,8 @@ It keeps one set of buffers for every level and forms level 0 as (energies x
 sites) arrays.  hieram.greens folds level 0 into level 1 and keeps buffers
 for two levels only, in the same arithmetic in the same order, so every array
 below must equal its counterpart there bit for bit (test_level_kernel.py).
+Every sum over a cluster's children runs in child order, at the top level of
+the IPR sweep and in its inverse-iteration repair too.
 """
 
 import math
@@ -157,3 +159,64 @@ def _norm_sweep(t, seq, values, energies, x, r, work):
             else:
                 w = np.square(alpha, out=_buffer(work, ("W", 0), alpha.shape))
     return t.sizes[r] * w[:, 0], ok
+
+
+def _fourth_step(t, w4, f_q, s, work):
+    """W4_s from W4_{s-1} over the rank-s clusters, given F_s there
+    (_cluster_step): F_s^4 = (F_s^2)^2 times the children's sum, in a buffer
+    of work."""
+    f_4, w4_s = (_buffer(work, (name, s), f_q.shape) for name in ("F^4", "W4"))
+    np.square(np.square(f_q, out=f_4), out=f_4)
+    np.multiply(_child_sums(w4, t.factor(s), w4_s), f_4, out=w4_s)
+    return w4_s
+
+
+def _powers(t, seq, values, z, r, work):
+    """Yields (alpha, W, W4, ok) for s = 0..r: _levels' alpha and pole mask
+    with W_s and W4_s, the sums of the level vectors' squares and fourth
+    powers over the rank-s clusters, from W_0 = alpha_0^2 and W4_0 = W_0^2,
+    each level's children summed in child order."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s, (denom, alpha, ok) in enumerate(_levels(t, seq, values, z, r, work)):
+            if s:
+                w, f_q = _cluster_step(t, w, denom, s, work)
+                w4 = _fourth_step(t, w4, f_q, s, work)
+            else:
+                w = np.square(alpha, out=_buffer(work, ("W", 0), alpha.shape))
+                w4 = np.square(w, out=_buffer(work, ("W4", 0), alpha.shape))
+            yield alpha, w, w4, ok
+
+
+def _ipr_sweep(t, seq, values, energies, x, r, work):
+    """IPRs, residuals and norms of the kernel vectors on the rank-r cluster
+    t, with the pole mask of the levels below r; r >= 1 and x unused, as in
+    hieram.greens.  The children of the top level are summed in child order,
+    as at every level below it."""
+    for alpha, w, w4, ok in _powers(t, seq, values, energies, r - 1, work):
+        pass
+    n_r = t.factor(r)
+    a, w, w4 = (_child_sums(v, n_r, np.empty((energies.size, 1))) for v in (alpha, w, w4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = 1.0 + seq.p(r) * (a[:, 0] / n_r)
+        norm2 = w[:, 0]
+        iprs = w4[:, 0] / np.square(norm2)
+        norms = np.sqrt(norm2 / n_r)
+        residuals = np.abs(denom) / norms
+    return iprs, residuals, norms, ok
+
+
+def _inverse_iteration_ipr(t, seq, values, e, r):
+    """The IPR of one step of inverse iteration from the kernel vector at e
+    on the rank-r lattice t, as in hieram.greens, with each d_s formed from
+    the cascade's alphas summed in child order."""
+    levels, alphas = cascade(t, seq, values, e, r - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = levels[r - 1] / (values - e)
+        for s in range(1, r + 1):
+            n_s, size = t.factor(s), t.sizes[s]
+            beta = _child_sums(alphas[s - 1], n_s, np.empty(t.site_count // size)) / n_s
+            denom = 1.0 + seq.p(s) * beta
+            proj = x.reshape(-1, size).sum(axis=1) / math.sqrt(size)
+            x = x - seq.p(s) / math.sqrt(n_s) * levels[s - 1] * np.repeat(proj / denom, size)
+        x = np.square(x / np.abs(x).max())
+        return float(np.sum(np.square(x)) / np.sum(x) ** 2)

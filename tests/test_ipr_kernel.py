@@ -3,6 +3,7 @@ eigh over random plans, couplings and disorder; the eigh fallback bit for bit
 where the kernel declines a draw; the residual identity; the repair of mixed
 vectors; and no eigenvector matrix at the localize benchmark's shape."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -67,7 +68,10 @@ def couplings(draw):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_kernel_iprs_match_eigh(data):
-    factors = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    # from 8 children on, numpy's row sum leaves child order; N stays <= 512
+    factors = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+    while math.prod(factors) > 512:
+        factors.pop()
     t = Truncation(HierarchySpec.explicit(factors))
     seq = data.draw(couplings())
     dist = data.draw(st.sampled_from([Uniform(0.0, 1.0), Gaussian(0.0, 1.0), Cauchy(0.0, 0.5)]))

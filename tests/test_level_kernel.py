@@ -1,7 +1,11 @@
 """The level kernel against its per-level reference (reference_kernel.py): the
 two-level workspace with level 0 folded into level 1 changes no bit of the
-sweeps, of build_cascade or of a pole mask; and the sorted-potential level-0
-guard is the direct minimum over the sites."""
+sweeps, of build_cascade, of the fourth-power sums or of a pole mask; the IPR
+sweep and its inverse-iteration repair sum each cluster's children in child
+order, as the kernel does; and the sorted-potential level-0 guard is the
+direct minimum over the sites."""
+
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hieram import (
     build_cascade,
     sample_potential,
 )
+from hieram import greens
 from hieram.greens import POLE_TOL, _level0_ok, cluster_norm_sweep, moment_ladder_sweep
 from hieram.operators import cluster_cut
 
@@ -53,7 +58,10 @@ def couplings(draw):
 
 @st.composite
 def kernel_cases(draw, dist):
-    factors = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    # from 8 children on, numpy's row sum leaves child order; N stays <= 512
+    factors = draw(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+    while math.prod(factors) > 512:
+        factors.pop()
     t = Truncation(HierarchySpec.explicit(factors))
     seq = draw(couplings())
     omega = sample_potential(dist, t, draw(st.integers(0, 2**32)), draw(st.integers(0, 3)))
@@ -84,11 +92,55 @@ def test_sweeps_equal_the_reference_kernel_bit_for_bit(dist, data):
             assert _same_bits(norm2, want_norm) and _same_bits(ok, want_ok)
 
 
-def _reference_or_level(t, seq, omega, z, r):
+def _value_or_level(f, *args):
+    """f(*args), or the level of the PoleProximityError it raises."""
     try:
-        return ref.cascade(t, seq, omega, z, r)
+        return f(*args)
     except PoleProximityError as err:
         return err.level
+
+
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_fourth_powers_equal_the_reference_kernel_bit_for_bit(dist, data):
+    t, seq, omega, energies, _ = data.draw(kernel_cases(dist))
+    ok = _level0_ok(omega.values, energies, {})
+    levels = greens._levels(t, seq, omega.values, energies, t.depth, {}, ok, powers=2)
+    want = ref._powers(t, seq, omega.values, energies, t.depth, {})
+    next(want)  # level 0, which the kernel folds into level 1
+    for (_, alpha, (w, w4)), (want_alpha, want_w, want_w4, want_ok) in zip(levels, want):
+        assert _same_bits(alpha, want_alpha)
+        assert _same_bits(w, want_w) and _same_bits(w4, want_w4)
+    assert _same_bits(ok, want_ok)
+
+
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_ipr_sweep_equals_the_reference_kernel_bit_for_bit(dist, data):
+    t, seq, omega, energies, sites = data.draw(kernel_cases(dist))
+    for r in range(1, t.depth + 1):
+        for x in sites:
+            q, values, _ = cluster_cut(t, omega, r, x)
+            work = {}
+            # a second, narrower chunk reuses the first one's workspace
+            for chunk in (energies, energies[1:]):
+                got = greens._ipr_sweep(q, seq, values, chunk, 0, r, work)
+                want = ref._ipr_sweep(q, seq, values, chunk, 0, r, {})
+                for a, b in zip(got, want, strict=True):  # iprs, residuals, norms, ok
+                    assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
+@given(data=st.data())
+def test_inverse_iteration_equals_the_reference_bit_for_bit(dist, data):
+    t, seq, omega, energies, sites = data.draw(kernel_cases(dist))
+    for r in range(1, t.depth + 1):
+        q, values, _ = cluster_cut(t, omega, r, sites[-1])
+        for e in energies:
+            got = _value_or_level(greens._inverse_iteration_ipr, q, seq, values, e, r)
+            want = _value_or_level(ref._inverse_iteration_ipr, q, seq, values, e, r)
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, int) else _same_bits(got, want)
 
 
 @pytest.mark.parametrize("dist", DISORDERS, ids=lambda d: d.kind)
@@ -98,7 +150,7 @@ def test_cascade_equals_the_reference_kernel_bit_for_bit(dist, data):
     r = data.draw(st.integers(0, t.depth))
     eta = data.draw(st.sampled_from([1e-3, 0.5]))
     for z in [*energies, *(energies + 1j * eta)]:
-        want = _reference_or_level(t, seq, omega, z, r)
+        want = _value_or_level(ref.cascade, t, seq, omega, z, r)
         if isinstance(want, int):
             with pytest.raises(PoleProximityError) as info:
                 build_cascade(t, seq, omega, z, r)
