@@ -140,14 +140,37 @@ def dense_control(
 ) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
     """(exact atoms, dense groups) of the compression onto the rank-r cluster,
     or of the cut-off Laplacian there without the tail: the closed-form atoms,
-    and a values-only dense solve of the same block grouped against them."""
+    and a values-only dense solve of the same block grouped against them.
+
+    Every p_s E_s (s >= 1) and the tail are constant on each n_1 x n_1 tile
+    of the block for a pair of rank-1 clusters, so the N_r - N_r/n_1 vectors
+    summing to zero on each rank-1 cluster lie in its kernel (lambda_0 = 0),
+    and the rest of its spectrum is that of n_1 C, with C one value per
+    tile: the one dense solve, of order N_r/n_1.  Tiles that are not constant
+    to the symmetry check's tolerance raise EigenvalueGroupingError."""
     if include_tail:
         exact = restricted_full_spectrum(t, seq, r)
         block = operators.compression_dense_block(t, seq, r)
     else:
         exact = exact_cutoff_spectrum(t, seq, r)
         block = operators.cutoff_dense_block(t, seq, r)
-    values = operators.dense_symmetric_eigensolve(block, vectors=False).eigenvalues
+    n, n_1 = len(block), t.sizes[min(r, 1)]
+    tiles = block.reshape(n // n_1, n_1, n // n_1, n_1)
+    # one pass over panels of tile rows, no N_r x N_r temporary
+    residual = scale = 0.0
+    step = max(1, operators.SYMMETRY_PANEL // n_1)
+    for lo in range(0, len(tiles), step):
+        panel = tiles[lo : lo + step]
+        scale = max(scale, panel.max(), -panel.min())
+        residual = np.abs(panel - panel[:, :1, :, :1]).max(initial=residual)
+    c = n_1 * tiles[:, 0, :, 0]
+    del block, tiles, panel  # the full block is gone before the solve
+    if residual > 1e-12 * max(1.0, scale):
+        raise EigenvalueGroupingError(
+            f"the dense block is not constant on its rank-1 tiles: max residual {residual:g}"
+        )
+    values = operators.dense_symmetric_eigensolve(c, vectors=False).eigenvalues
+    values = np.sort(np.concatenate([np.zeros(n - len(c)), values]))
     return exact, group_eigenvalues(values, exact)
 
 

@@ -1200,18 +1200,62 @@ def test_equal_atoms_merge_into_one_row(tmp_path, subcommand):
 
 @pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
 def test_unresolved_atoms_exit_3(tmp_path, capsys, subcommand):
-    # at rho 64 the top two atoms 1 - 64^-9 and 1 - 64^-10 both round to 1.0
-    # and merge, but the next atom down lies only 64^-8 below them, inside
-    # the eigensolver's rounding noise, so no grouping reproduces the table
-    exact = _atoms_degree2(64.0, 10, tail=False)
-    assert exact[-2][0] == exact[-1][0] == 1.0
-    assert exact[-1][0] - exact[-3][0] < 4e-15
-    config = write_config(tmp_path, _dense_cfg(64.0))
+    # at rho 1024 = 2^10 the atoms 1 - 2^-60, ..., 1 - 2^-100 all round to
+    # 1.0 and merge, but the next atom down, 1 - 2^-50, lies only 8 ulps
+    # below them, inside the eigensolver's rounding noise, so no grouping
+    # reproduces the table
+    exact = _atoms_degree2(1024.0, 10, tail=False)
+    distinct = sorted({loc for loc, _ in exact})
+    assert distinct[-1] == 1.0 and distinct[-1] - distinct[-2] == 2.0**-50
+    config = write_config(tmp_path, _dense_cfg(1024.0))
     out = tmp_path / "o"
     assert main([subcommand, "--config", config, "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "eigenvalue-grouping"
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
+def test_atoms_at_the_rounding_edge_match_or_refuse(tmp_path, capsys, subcommand):
+    # at rho 64 the top distinct atoms 1 - 64^-8 and 1.0 lie 32 ulps apart:
+    # whether the solve resolves them depends on the BLAS build and its
+    # thread count, but a run either writes the exact atoms or exits 3
+    config = write_config(tmp_path, _dense_cfg(64.0))
+    out = tmp_path / "o"
+    code = main([subcommand, "--config", config, "--out", str(out)])
+    if code == 3:
+        assert json.loads(capsys.readouterr().err)["error"] == "eigenvalue-grouping"
+        assert not out.exists()
+        return
+    assert code == 0
+    table, source = ("spectrum", "dense") if subcommand == "spectrum" else ("dos", "nu")
+    lines = (out / f"{table}.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if l.endswith("," + source)]
+    exact = _merged(_atoms_degree2(64.0, 10, tail=True))
+    assert len(rows) == len(exact) == 10
+    for (loc, value, _), (eloc, emult) in zip(rows, exact):
+        assert abs(float(loc) - eloc) <= 1e-12
+        assert float(value) == (emult if subcommand == "spectrum" else emult / 2**10)
+
+
+@pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
+def test_block_without_constant_tiles_exits_3(tmp_path, capsys, monkeypatch, subcommand):
+    build = operators.compression_dense_block
+
+    def perturbed(*args):
+        block = build(*args)
+        block[0, 1] += 1e-6  # a symmetric pair inside one rank-1 tile
+        block[1, 0] += 1e-6
+        return block
+
+    monkeypatch.setattr(operators, "compression_dense_block", perturbed)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", write_config(tmp_path, base_config()), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "eigenvalue-grouping"
+    assert "rank-1 tiles" in err["detail"]
+    assert float(err["detail"].rsplit(" ", 1)[1]) == pytest.approx(1e-6)
     assert not out.exists()
 
 
@@ -1237,11 +1281,12 @@ def test_dos_nu_rows_are_the_closed_form_atoms(tmp_path, hierarchy, coupling):
 
 @pytest.mark.parametrize("subcommand", ["spectrum", "dos"])
 def test_one_values_only_solve_through_the_dense_control(tmp_path, monkeypatch, subcommand):
-    solves, controls = [], []
+    solves, orders, controls = [], [], []
     solve, control = operators.dense_symmetric_eigensolve, spectral.dense_control
 
     def counted_solve(a, vectors=True):
         solves.append(vectors)
+        orders.append(len(a))
         return solve(a, vectors)
 
     def counted_control(*args, **kwargs):
@@ -1253,6 +1298,7 @@ def test_one_values_only_solve_through_the_dense_control(tmp_path, monkeypatch, 
     config = write_config(tmp_path, base_config())
     assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 0
     assert solves == [False] and len(controls) == 1
+    assert orders == [2**4 // 2]  # N_r / n_1: the rank-1 tiles' kernel is peeled off
 
 
 def _merged(atoms):
@@ -1285,11 +1331,32 @@ def test_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, hierarchy, c
     # the values-only solve puts each dense row within 1e-12 of its exact
     # atom, and of the same grouping of a full numpy eigh
     cfg = base_config(hierarchy=hierarchy, coupling=coupling, include_tail=tail)
+    _assert_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, cfg)
+
+
+@pytest.mark.parametrize("subcommand,tail", [("spectrum", True), ("spectrum", False), ("dos", True)])
+# n_1 = 5 first: at rank 1 the solve left by the rank-1 tiles is 1 x 1
+@pytest.mark.parametrize("hierarchy", [{"degree": 2, "depth": 6}, {"branching": [5, 2, 3]}])
+@pytest.mark.parametrize(
+    "coupling",
+    [{"family": "geometric", "rho": 4.0}, {"family": "polygeometric", "n": 2, "epsilon": 0.3}],
+)
+@pytest.mark.parametrize("rank", ["0", "1", "depth - 1"])
+def test_dense_rows_are_the_exact_atoms_below_the_depth(
+    tmp_path, subcommand, tail, hierarchy, coupling, rank
+):
+    # rank 0 has n_1 = 1, so nothing is peeled off the one 1 x 1 block
+    cfg = base_config(hierarchy=hierarchy, coupling=coupling, include_tail=tail)
+    cfg["rank"] = Truncation(cli.resolve_hierarchy(cfg)).depth - 1 if rank == "depth - 1" else int(rank)
+    _assert_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, cfg)
+
+
+def _assert_dense_rows_are_the_exact_atoms(tmp_path, subcommand, tail, cfg):
     out = tmp_path / "out"
     assert main([subcommand, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     t = Truncation(cli.resolve_hierarchy(cfg))
     seq = cli.resolve_section(cfg, "coupling")
-    r = t.depth
+    r = cfg.get("rank", t.depth)
     atoms = (restricted_full_spectrum if tail else exact_cutoff_spectrum)(t, seq, r)
     block = (compression_dense_block if tail else cutoff_dense_block)(t, seq, r)
     grouped = group_eigenvalues(np.linalg.eigh(block)[0], atoms)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,11 +22,13 @@ from hieram import (
     fit_spectral_dimension,
     group_eigenvalues,
     limiting_spectral_measure,
+    operators,
     restricted_full_spectrum,
     spectral_dimension,
     walk_classification,
 )
 from hieram.operators import compression_dense_block
+from hieram.spectral import dense_control
 from reference_operator import laplacian
 
 
@@ -408,12 +411,31 @@ def test_group_eigenvalues_refuses_a_wrong_table():
 
 
 def test_finite_volume_dos_refuses_unresolved_atoms():
-    # at rho 64 the top distinct atoms lie 3.6e-15 apart, inside the
-    # eigensolver's rounding noise
+    # at rho 1024 the top distinct atoms 1 - 2^-50 and 1.0 lie 8 ulps apart,
+    # inside the eigensolver's rounding noise
     t = Truncation(HierarchySpec.homogeneous(2, 10))
-    seq = GeometricCoupling(64.0)
+    seq = GeometricCoupling(1024.0)
     with pytest.raises(EigenvalueGroupingError):
         finite_volume_dos(t, seq, 10)
+
+
+def test_dense_control_drops_the_block_before_its_solve(monkeypatch):
+    # tracemalloc does not see LAPACK's own copy, so the current size at the
+    # call, not the peak, shows that the N_r x N_r block is gone by then
+    t = Truncation(HierarchySpec.homogeneous(2, 10))
+    solve, current = operators.dense_symmetric_eigensolve, []
+
+    def spy(a, vectors=True):
+        current.append(tracemalloc.get_traced_memory()[0])
+        return solve(a, vectors)
+
+    monkeypatch.setattr(operators, "dense_symmetric_eigensolve", spy)
+    tracemalloc.start()
+    try:
+        dense_control(t, GeometricCoupling(4.0), 10)
+    finally:
+        tracemalloc.stop()
+    assert len(current) == 1 and current[0] < 0.5 * t.site_count**2 * 8
 
 
 def test_walk_without_tail_warns_nothing():
